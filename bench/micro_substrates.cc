@@ -41,24 +41,6 @@ void BM_BuddyAllocateFree(benchmark::State& state) {
 }
 BENCHMARK(BM_BuddyAllocateFree)->Arg(1)->Arg(16)->Arg(256);
 
-void BM_SimDiskReadCall(benchmark::State& state) {
-  StorageConfig cfg;
-  SimDisk disk(cfg);
-  AreaId a = disk.CreateArea();
-  std::vector<char> buf(static_cast<size_t>(state.range(0)) * 4096);
-  // A failed setup write would silently benchmark reads of unwritten pages.
-  Status seeded = disk.Write(a, 0, static_cast<uint32_t>(state.range(0)),
-                             buf.data());
-  LOB_CHECK(seeded.ok());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        disk.Read(a, 0, static_cast<uint32_t>(state.range(0)), buf.data()));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          state.range(0) * 4096);
-}
-BENCHMARK(BM_SimDiskReadCall)->Arg(1)->Arg(4)->Arg(64);
-
 void BM_BufferPoolFixHit(benchmark::State& state) {
   StorageConfig cfg;
   SimDisk disk(cfg);
@@ -111,11 +93,12 @@ void BM_SimDiskAppendGrowth(benchmark::State& state) {
   StorageConfig cfg;
   const uint32_t n = static_cast<uint32_t>(state.range(0));
   std::vector<char> page(cfg.page_size, 'x');
+  const char* src = page.data();
   for (auto _ : state) {
     SimDisk disk(cfg);
     AreaId a = disk.CreateArea();
     for (uint32_t p = 0; p < n; ++p) {
-      benchmark::DoNotOptimize(disk.Write(a, p, 1, page.data()));
+      benchmark::DoNotOptimize(disk.WriteRun(a, p, 1, &src));
     }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
@@ -124,14 +107,15 @@ BENCHMARK(BM_SimDiskAppendGrowth)->Arg(1024)->Arg(16384);
 
 void BM_SimDiskReadRunZeroCopy(benchmark::State& state) {
   // Borrowed-span batched read: one modeled seek + N transfers, no
-  // memcpy. Compare bytes/sec against BM_SimDiskReadCall at the same
-  // run length to see the zero-copy win.
+  // memcpy.
   StorageConfig cfg;
   SimDisk disk(cfg);
   AreaId a = disk.CreateArea();
   const uint32_t n = static_cast<uint32_t>(state.range(0));
-  std::vector<char> buf(static_cast<size_t>(n) * cfg.page_size);
-  Status seeded = disk.Write(a, 0, n, buf.data());
+  // A failed setup write would silently benchmark reads of unwritten
+  // pages; null sources zero-fill.
+  std::vector<const char*> zeros(n, nullptr);
+  Status seeded = disk.WriteRun(a, 0, n, zeros.data());
   LOB_CHECK(seeded.ok());
   std::vector<PageRef> refs(n);
   for (auto _ : state) {

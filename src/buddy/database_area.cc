@@ -41,7 +41,6 @@ void DatabaseArea::AddSpace() {
 }
 
 StatusOr<Segment> DatabaseArea::Allocate(uint32_t n_pages) {
-  WriterMutexLock lock(&mu_);
   LOB_TRACE_SPAN(pool_->disk(), "buddy.alloc");
   if (n_pages == 0) return Status::InvalidArgument("zero-page segment");
   if (n_pages > blocks_per_space_) {
@@ -81,7 +80,6 @@ StatusOr<Segment> DatabaseArea::Allocate(uint32_t n_pages) {
 }
 
 Status DatabaseArea::Free(PageId first_page, uint32_t n_pages) {
-  WriterMutexLock lock(&mu_);
   LOB_TRACE_SPAN(pool_->disk(), "buddy.free");
   if (n_pages == 0) return Status::InvalidArgument("zero-page free");
   const uint32_t stride = blocks_per_space_ + 1;
@@ -118,7 +116,6 @@ Status DatabaseArea::Free(PageId first_page, uint32_t n_pages) {
 }
 
 Status DatabaseArea::SyncDirectories() {
-  WriterMutexLock lock(&mu_);
   Status first;
   for (uint32_t s = 0; s < spaces_.size(); ++s) {
     if (!needs_sync_[s]) continue;
@@ -135,7 +132,6 @@ Status DatabaseArea::SyncDirectories() {
 }
 
 bool DatabaseArea::NeedsDirectorySync() const {
-  ReaderMutexLock lock(&mu_);
   for (bool b : needs_sync_) {
     if (b) return true;
   }
@@ -143,7 +139,6 @@ bool DatabaseArea::NeedsDirectorySync() const {
 }
 
 Status DatabaseArea::RecoverSpaces(const SimDisk& disk) {
-  WriterMutexLock lock(&mu_);
   if (!spaces_.empty()) {
     return Status::Internal("recover requires a fresh area");
   }
@@ -162,7 +157,6 @@ Status DatabaseArea::RecoverSpaces(const SimDisk& disk) {
 }
 
 uint64_t DatabaseArea::allocated_pages() const {
-  ReaderMutexLock lock(&mu_);
   uint64_t used = 0;
   for (const auto& space : spaces_) {
     used += space->total_blocks() - space->free_blocks();
@@ -171,7 +165,6 @@ uint64_t DatabaseArea::allocated_pages() const {
 }
 
 bool DatabaseArea::IsAllocated(PageId page) const {
-  ReaderMutexLock lock(&mu_);
   const uint32_t stride = blocks_per_space_ + 1;
   const uint32_t space = page / stride;
   if (space >= spaces_.size()) return false;
@@ -180,14 +173,12 @@ bool DatabaseArea::IsAllocated(PageId page) const {
 }
 
 uint64_t DatabaseArea::free_pages() const {
-  ReaderMutexLock lock(&mu_);
   uint64_t free = 0;
   for (const auto& space : spaces_) free += space->free_blocks();
   return free;
 }
 
 uint32_t DatabaseArea::LargestFreeExtent() const {
-  ReaderMutexLock lock(&mu_);
   uint32_t largest = 0;
   for (const auto& space : spaces_) {
     largest = std::max(largest, space->LargestFree());
@@ -197,12 +188,10 @@ uint32_t DatabaseArea::LargestFreeExtent() const {
 
 void DatabaseArea::AccumulateFreeChunks(
     std::map<uint32_t, uint64_t>* acc) const {
-  ReaderMutexLock lock(&mu_);
   for (const auto& space : spaces_) space->AccumulateFreeChunks(acc);
 }
 
 bool DatabaseArea::CheckInvariants() const {
-  ReaderMutexLock lock(&mu_);
   for (const auto& space : spaces_) {
     if (!space->CheckInvariants()) return false;
   }

@@ -14,14 +14,9 @@
 // page read, and modified directories are written back on eviction or
 // flush.
 //
-// Concurrency: a reader-writer latch at LockRank::kBuddyDirectory covers
-// the buddy trees, the superdirectory hints and the dirty-directory flags.
-// Mutators (Allocate, Free, SyncDirectories, RecoverSpaces) take the
-// writer side and hold it across their directory-block pool I/O — the
-// latch ranks below the pool latch (26 < 30) precisely so that is legal.
-// Readers (the stats/fsck surface) take the shared side. No DatabaseArea
-// method ever calls into another DatabaseArea, so equal-rank nesting
-// cannot occur.
+// The area holds no lock: like the rest of a StorageSystem it is confined
+// to one thread, which the buffer pool its directory blocks go through
+// checks (see buffer/buffer_pool.h).
 
 #ifndef LOB_BUDDY_DATABASE_AREA_H_
 #define LOB_BUDDY_DATABASE_AREA_H_
@@ -34,9 +29,7 @@
 #include "buddy/buddy_tree.h"
 #include "buffer/buffer_pool.h"
 #include "common/config.h"
-#include "common/lock_order.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "iomodel/sim_disk.h"
 
 namespace lob {
@@ -100,19 +93,13 @@ class DatabaseArea {
     return page % (blocks_per_space_ + 1) == 0;
   }
 
-  uint32_t num_spaces() const {
-    ReaderMutexLock lock(&mu_);
-    return static_cast<uint32_t>(spaces_.size());
-  }
+  uint32_t num_spaces() const { return static_cast<uint32_t>(spaces_.size()); }
 
   /// Pages currently allocated to segments (excludes directory blocks).
   uint64_t allocated_pages() const;
 
   /// Superdirectory entry for space `i` (largest free chunk, in blocks).
-  uint32_t SuperdirectoryHint(uint32_t i) const {
-    ReaderMutexLock lock(&mu_);
-    return hints_[i];
-  }
+  uint32_t SuperdirectoryHint(uint32_t i) const { return hints_[i]; }
 
   /// Free blocks across every space (the area's free-page total).
   uint64_t free_pages() const;
@@ -148,22 +135,15 @@ class DatabaseArea {
   /// Infallible under I/O faults: a failed directory write is absorbed
   /// like in Free (an all-free bitmap is all zeros, which is exactly what
   /// an unwritten page reads back as, so recovery stays consistent).
-  void AddSpace() LOB_REQUIRES(mu_);
+  void AddSpace();
 
-  // LOBLINT(lock-rank): set at construction, never mutated — immutable
-  // identity/config, readable without the latch.
   BufferPool* pool_;
-  AreaId area_;         // LOBLINT(lock-rank): construction-immutable
-  StorageConfig config_;  // LOBLINT(lock-rank): construction-immutable
-  uint32_t blocks_per_space_;  // LOBLINT(lock-rank): construction-immutable
-  /// Directory latch (LockRank::kBuddyDirectory): guards allocator
-  /// bookkeeping; held across directory-block pool I/O (26 < 30).
-  mutable SharedMutex mu_{LockRank::kBuddyDirectory};
-  std::vector<std::unique_ptr<BuddyTree>> spaces_ LOB_GUARDED_BY(mu_);
-  std::vector<uint32_t> hints_
-      LOB_GUARDED_BY(mu_);  ///< superdirectory (main-memory only)
-  std::vector<bool> needs_sync_
-      LOB_GUARDED_BY(mu_);  ///< spaces with a lagging disk directory
+  AreaId area_;
+  StorageConfig config_;
+  uint32_t blocks_per_space_;
+  std::vector<std::unique_ptr<BuddyTree>> spaces_;
+  std::vector<uint32_t> hints_;  ///< superdirectory (main-memory only)
+  std::vector<bool> needs_sync_;  ///< spaces with a lagging disk directory
 };
 
 }  // namespace lob

@@ -1,7 +1,10 @@
 #include "buffer/buffer_pool.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <sstream>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -34,22 +37,21 @@ PageGuard::~PageGuard() { Release(); }
 
 const char* PageGuard::data() const {
   LOB_CHECK(pool_ != nullptr);
-  ReaderMutexLock lock(&pool_->mu_);
-  // The returned pointer outlives the latch but not the pin: frame slots
-  // and borrowed page images are stable while the pin count is non-zero.
-  return pool_->FrameDataLocked(slot_);
+  // Frame slots and borrowed page images are stable while the pin count
+  // is non-zero.
+  return pool_->FrameData(slot_);
 }
 
 char* PageGuard::mutable_data() {
   LOB_CHECK(pool_ != nullptr);
-  WriterMutexLock lock(&pool_->mu_);
-  return pool_->MaterializeSlotLocked(slot_);
+  pool_->CheckOwner();
+  return pool_->MaterializeSlot(slot_);
 }
 
 void PageGuard::MarkDirty() {
   LOB_CHECK(pool_ != nullptr);
-  WriterMutexLock lock(&pool_->mu_);
-  pool_->MaterializeSlotLocked(slot_);
+  pool_->CheckOwner();
+  pool_->MaterializeSlot(slot_);
   pool_->frames_[slot_].dirty = true;
 }
 
@@ -71,11 +73,38 @@ BufferPool::BufferPool(SimDisk* disk, const StorageConfig& config)
   frames_.resize(config_.buffer_pool_pages);
 }
 
+namespace {
+
+[[noreturn]] void OwnerViolation(std::thread::id self, std::thread::id owner) {
+  std::ostringstream msg;
+  msg << "BufferPool owner check: thread " << self
+      << " called a pool owned by thread " << owner
+      << "; a StorageSystem is confined to one thread (see "
+         "buffer/buffer_pool.h)";
+  std::fprintf(stderr, "%s\n", msg.str().c_str());
+  std::abort();
+}
+
+}  // namespace
+
+void BufferPool::CheckOwner() {
+  const std::thread::id self = std::this_thread::get_id();
+  std::thread::id owner = owner_.load();
+  if (owner == self) return;
+  // First mutating call: bind. A failed exchange leaves the winner of a
+  // racing bind in `owner`, which is then reported.
+  if (owner == std::thread::id() &&
+      owner_.compare_exchange_strong(owner, self)) {
+    return;
+  }
+  OwnerViolation(self, owner);
+}
+
 int BufferPool::FindSlot(AreaId area, PageId page) const {
   return map_.Find(Key(area, page));
 }
 
-char* BufferPool::MaterializeSlotLocked(uint32_t slot) {
+char* BufferPool::MaterializeSlot(uint32_t slot) {
   Frame& f = frames_[slot];
   if (f.borrow != nullptr) {
     std::memcpy(SlotData(slot), f.borrow, config_.page_size);
@@ -84,15 +113,11 @@ char* BufferPool::MaterializeSlotLocked(uint32_t slot) {
   return SlotData(slot);
 }
 
-void BufferPool::UnpinLocked(uint32_t slot) {
+void BufferPool::Unpin(uint32_t slot) {
+  CheckOwner();
   Frame& f = frames_[slot];
   LOB_CHECK_GT(f.pins, 0u);
   f.pins--;
-}
-
-void BufferPool::Unpin(uint32_t slot) {
-  WriterMutexLock lock(&mu_);
-  UnpinLocked(slot);
 }
 
 Status BufferPool::EvictSlot(uint32_t slot) {
@@ -102,7 +127,8 @@ Status BufferPool::EvictSlot(uint32_t slot) {
   evictions_++;
   if (f.dirty) {
     LOB_TRACE_SPAN(disk_, "pool.evict");
-    LOB_RETURN_IF_ERROR(disk_->Write(f.area, f.page, 1, SlotData(slot)));
+    const char* src = SlotData(slot);
+    LOB_RETURN_IF_ERROR(disk_->WriteRun(f.area, f.page, 1, &src));
   }
   map_.Erase(Key(f.area, f.page));
   f.valid = false;
@@ -147,14 +173,7 @@ StatusOr<uint32_t> BufferPool::GetFreeSlot() {
 
 StatusOr<PageGuard> BufferPool::FixPage(AreaId area, PageId page,
                                         FixMode mode) {
-  WriterMutexLock lock(&mu_);
-  auto slot_or = FixSlotLocked(area, page, mode);
-  if (!slot_or.ok()) return slot_or.status();
-  return PageGuard(this, *slot_or);
-}
-
-StatusOr<uint32_t> BufferPool::FixSlotLocked(AreaId area, PageId page,
-                                             FixMode mode) {
+  CheckOwner();
   int existing = FindSlot(area, page);
   if (existing >= 0) {
     uint32_t slot = static_cast<uint32_t>(existing);
@@ -162,7 +181,7 @@ StatusOr<uint32_t> BufferPool::FixSlotLocked(AreaId area, PageId page,
     f.pins++;
     f.lru = ++tick_;
     hits_++;
-    return slot;
+    return PageGuard(this, slot);
   }
   auto slot_or = GetFreeSlot();
   if (!slot_or.ok()) return slot_or.status();
@@ -196,7 +215,7 @@ StatusOr<uint32_t> BufferPool::FixSlotLocked(AreaId area, PageId page,
   f.pins = 1;
   f.lru = ++tick_;
   map_.Insert(Key(area, page), slot);
-  return slot;
+  return PageGuard(this, slot);
 }
 
 Status BufferPool::FlushAndDropRange(AreaId area, PageId first,
@@ -219,7 +238,7 @@ Status BufferPool::ReadSegmentRange(AreaId area, PageId seg_first,
   if (byte_off + n_bytes > seg_valid_bytes) {
     return Status::OutOfRange("read past segment valid bytes");
   }
-  WriterMutexLock lock(&mu_);
+  CheckOwner();
   const uint64_t P = config_.page_size;
   const PageId p0 = seg_first + static_cast<PageId>(byte_off / P);
   const PageId p1 =
@@ -290,16 +309,15 @@ Status BufferPool::ReadSegmentRange(AreaId area, PageId seg_first,
         // later fetch may evict an earlier page again.
         uint64_t copied = 0;
         for (PageId p = p0; p <= p1; ++p) {
-          auto s_or = FixSlotLocked(area, p, FixMode::kRead);
-          if (!s_or.ok()) return s_or.status();
+          auto g = FixPage(area, p, FixMode::kRead);
+          if (!g.ok()) return g.status();
           const uint64_t page_begin =
               static_cast<uint64_t>(p - seg_first) * P;
           const uint64_t lo = std::max(byte_off, page_begin);
           const uint64_t hi = std::min(byte_off + n_bytes, page_begin + P);
-          std::memcpy(dst + (lo - byte_off),
-                      FrameDataLocked(*s_or) + (lo - page_begin), hi - lo);
+          std::memcpy(dst + (lo - byte_off), g->data() + (lo - page_begin),
+                      hi - lo);
           copied += hi - lo;
-          UnpinLocked(*s_or);
         }
         LOB_CHECK_EQ(copied, n_bytes);
         return Status::OK();
@@ -315,8 +333,7 @@ Status BufferPool::ReadSegmentRange(AreaId area, PageId seg_first,
       const uint64_t lo = std::max(byte_off, page_begin);
       const uint64_t hi = std::min(byte_off + n_bytes, page_begin + P);
       std::memcpy(dst + (lo - byte_off),
-                  FrameDataLocked(static_cast<uint32_t>(s)) +
-                      (lo - page_begin),
+                  FrameData(static_cast<uint32_t>(s)) + (lo - page_begin),
                   hi - lo);
       copied += hi - lo;
     }
@@ -331,12 +348,13 @@ Status BufferPool::ReadSegmentRange(AreaId area, PageId seg_first,
   PageId mid_last = p1;
   if (byte_off % P != 0) {
     // Partial first block travels through the pool.
-    auto s_or = FixSlotLocked(area, p0, FixMode::kRead);
-    if (!s_or.ok()) return s_or.status();
     const uint64_t in_page = byte_off % P;
     const uint64_t take = std::min(P - in_page, remaining);
-    std::memcpy(out, FrameDataLocked(*s_or) + in_page, take);
-    UnpinLocked(*s_or);
+    {
+      auto g = FixPage(area, p0, FixMode::kRead);
+      if (!g.ok()) return g.status();
+      std::memcpy(out, g->data() + in_page, take);
+    }
     out += take;
     remaining -= take;
     mid_first = p0 + 1;
@@ -355,14 +373,24 @@ Status BufferPool::ReadSegmentRange(AreaId area, PageId seg_first,
       int s = FindSlot(area, mid_first + i);
       if (s >= 0 && frames_[static_cast<uint32_t>(s)].dirty) {
         Frame& f = frames_[static_cast<uint32_t>(s)];
-        LOB_RETURN_IF_ERROR(
-            disk_->Write(f.area, f.page, 1, SlotData(static_cast<uint32_t>(s))));
+        const char* src = SlotData(static_cast<uint32_t>(s));
+        LOB_RETURN_IF_ERROR(disk_->WriteRun(f.area, f.page, 1, &src));
         f.dirty = false;
       }
     }
+    ScratchMark sm(&scratch_);
+    PageRef* refs = scratch_.AllocArray<PageRef>(count);
     {
       LOB_TRACE_SPAN(disk_, "pool.read_run");
-      LOB_RETURN_IF_ERROR(disk_->Read(area, mid_first, count, out));
+      LOB_RETURN_IF_ERROR(disk_->ReadRun(area, mid_first, count, refs));
+    }
+    for (uint32_t i = 0; i < count; ++i) {
+      // Never-written pages read as zeros.
+      if (refs[i].data != nullptr) {
+        std::memcpy(out + static_cast<size_t>(i) * P, refs[i].data, P);
+      } else {
+        std::memset(out + static_cast<size_t>(i) * P, 0, P);
+      }
     }
     const uint64_t moved = static_cast<uint64_t>(count) * P;
     out += moved;
@@ -371,10 +399,9 @@ Status BufferPool::ReadSegmentRange(AreaId area, PageId seg_first,
   if (remaining > 0) {
     // Partial last block through the pool.
     LOB_CHECK_EQ(remaining, tail_take);
-    auto s_or = FixSlotLocked(area, p1, FixMode::kRead);
-    if (!s_or.ok()) return s_or.status();
-    std::memcpy(out, FrameDataLocked(*s_or), remaining);
-    UnpinLocked(*s_or);
+    auto g = FixPage(area, p1, FixMode::kRead);
+    if (!g.ok()) return g.status();
+    std::memcpy(out, g->data(), remaining);
   }
   return Status::OK();
 }
@@ -384,7 +411,7 @@ Status BufferPool::WriteSegmentRange(AreaId area, PageId seg_first,
                                      uint64_t byte_off, uint64_t n_bytes,
                                      const char* src) {
   if (n_bytes == 0) return Status::OK();
-  WriterMutexLock lock(&mu_);
+  CheckOwner();
   const uint64_t P = config_.page_size;
   const PageId p0 = seg_first + static_cast<PageId>(byte_off / P);
   const PageId p1 =
@@ -404,16 +431,15 @@ Status BufferPool::WriteSegmentRange(AreaId area, PageId seg_first,
   if (np <= config_.max_pool_segment_pages) {
     // Buffered: stage into frames; the caller flushes at operation end.
     for (PageId p = p0; p <= p1; ++p) {
-      auto s_or = FixSlotLocked(
-          area, p, needs_read(p) ? FixMode::kRead : FixMode::kNew);
-      if (!s_or.ok()) return s_or.status();
+      auto g = FixPage(area, p,
+                       needs_read(p) ? FixMode::kRead : FixMode::kNew);
+      if (!g.ok()) return g.status();
       const uint64_t page_begin = static_cast<uint64_t>(p - seg_first) * P;
       const uint64_t lo = std::max(byte_off, page_begin);
       const uint64_t hi = std::min(byte_off + n_bytes, page_begin + P);
-      std::memcpy(MaterializeSlotLocked(*s_or) + (lo - page_begin),
+      std::memcpy(g->mutable_data() + (lo - page_begin),
                   src + (lo - byte_off), hi - lo);
-      frames_[*s_or].dirty = true;
-      UnpinLocked(*s_or);
+      g->MarkDirty();
     }
     return Status::OK();
   }
@@ -433,10 +459,9 @@ Status BufferPool::WriteSegmentRange(AreaId area, PageId seg_first,
     }
     char* stage = scratch_.Allocate(P);
     if (needs_read(p)) {
-      auto s_or = FixSlotLocked(area, p, FixMode::kRead);
-      if (!s_or.ok()) return s_or.status();
-      std::memcpy(stage, FrameDataLocked(*s_or), P);
-      UnpinLocked(*s_or);
+      auto g = FixPage(area, p, FixMode::kRead);
+      if (!g.ok()) return g.status();
+      std::memcpy(stage, g->data(), P);
     } else {
       std::memset(stage, 0, P);
     }
@@ -470,7 +495,7 @@ Status BufferPool::WriteSegmentRange(AreaId area, PageId seg_first,
 Status BufferPool::WriteFreshSegment(AreaId area, PageId first,
                                      const char* data, uint64_t n_bytes) {
   if (n_bytes == 0) return Status::OK();
-  WriterMutexLock lock(&mu_);
+  CheckOwner();
   const uint64_t P = config_.page_size;
   const uint32_t np = static_cast<uint32_t>((n_bytes + P - 1) / P);
   // Full pages gather straight from the caller's buffer; only a partial
@@ -509,12 +534,7 @@ Status BufferPool::WriteFreshSegment(AreaId area, PageId first,
 }
 
 Status BufferPool::FlushRun(AreaId area, PageId first, uint32_t n_pages) {
-  WriterMutexLock lock(&mu_);
-  return FlushRunLocked(area, first, n_pages);
-}
-
-Status BufferPool::FlushRunLocked(AreaId area, PageId first,
-                                  uint32_t n_pages) {
+  CheckOwner();
   uint32_t i = 0;
   while (i < n_pages) {
     int s = FindSlot(area, first + i);
@@ -554,7 +574,7 @@ Status BufferPool::FlushRunLocked(AreaId area, PageId first,
 }
 
 Status BufferPool::FlushAll() {
-  WriterMutexLock lock(&mu_);
+  CheckOwner();
   // Collect dirty pages, sorted, and flush maximal contiguous runs.
   std::vector<std::pair<uint64_t, uint32_t>> dirty;  // (key, slot)
   for (uint32_t i = 0; i < frames_.size(); ++i) {
@@ -568,14 +588,14 @@ Status BufferPool::FlushAll() {
     while (j < dirty.size() && dirty[j].first == dirty[j - 1].first + 1) ++j;
     const Frame& f0 = frames_[dirty[i].second];
     LOB_RETURN_IF_ERROR(
-        FlushRunLocked(f0.area, f0.page, static_cast<uint32_t>(j - i)));
+        FlushRun(f0.area, f0.page, static_cast<uint32_t>(j - i)));
     i = j;
   }
   return Status::OK();
 }
 
 Status BufferPool::Invalidate(AreaId area, PageId first, uint32_t n_pages) {
-  WriterMutexLock lock(&mu_);
+  CheckOwner();
   for (uint32_t i = 0; i < n_pages; ++i) {
     int s = FindSlot(area, first + i);
     if (s < 0) continue;
@@ -594,7 +614,6 @@ std::vector<BufferPool::CachedPage> BufferPool::CachedPagesSorted() const {
   // lookup table, then pin the ordering explicitly: the result must be a
   // pure function of *which* pages are cached, never of insertion order
   // or hash seeding.
-  ReaderMutexLock lock(&mu_);
   std::vector<CachedPage> out;
   out.reserve(frames_.size());
   for (const Frame& f : frames_) {
@@ -608,18 +627,15 @@ std::vector<BufferPool::CachedPage> BufferPool::CachedPagesSorted() const {
 }
 
 bool BufferPool::IsCached(AreaId area, PageId page) const {
-  ReaderMutexLock lock(&mu_);
   return FindSlot(area, page) >= 0;
 }
 
 bool BufferPool::IsDirty(AreaId area, PageId page) const {
-  ReaderMutexLock lock(&mu_);
   int s = FindSlot(area, page);
   return s >= 0 && frames_[static_cast<uint32_t>(s)].dirty;
 }
 
 BufferPool::State BufferPool::SaveState() const {
-  ReaderMutexLock lock(&mu_);
   for (const Frame& f : frames_) LOB_CHECK_EQ(f.pins, 0u);
   State state;
   state.arena = arena_;
@@ -633,7 +649,7 @@ BufferPool::State BufferPool::SaveState() const {
 }
 
 void BufferPool::RestoreState(const State& state) {
-  WriterMutexLock lock(&mu_);
+  CheckOwner();
   for (const Frame& f : frames_) LOB_CHECK_EQ(f.pins, 0u);
   // A read-only walk can still have *written* to disk (evicting a dirty
   // victim); restoring the frame's dirty bit afterwards is safe because
@@ -648,7 +664,6 @@ void BufferPool::RestoreState(const State& state) {
 }
 
 void BufferPool::PublishCounters(ObsRegistry* obs) const {
-  ReaderMutexLock lock(&mu_);
   obs->Counter("pool.fix_hits") = hits_;
   obs->Counter("pool.fix_misses") = misses_;
   obs->Counter("pool.evictions") = evictions_;

@@ -29,14 +29,14 @@
 #ifndef LOB_BUFFER_BUFFER_POOL_H_
 #define LOB_BUFFER_BUFFER_POOL_H_
 
+#include <atomic>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/config.h"
-#include "common/lock_order.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "buffer/page_table.h"
 #include "iomodel/sim_disk.h"
 
@@ -85,20 +85,19 @@ enum class FixMode {
   kNew,   ///< do not load: caller will overwrite the whole page
 };
 
-/// Buffer pool over a SimDisk, the first latch point of the multi-client
-/// serving arc (ROADMAP item 1): shared state is guarded by an annotated
-/// reader-writer latch at LockRank::kBufferPool. Mutating entry points
-/// (fix, segment I/O, flush, invalidate) take the writer side; pure
+/// Buffer pool over a SimDisk.
+///
+/// Confinement contract: a pool — and with it the StorageSystem around
+/// it, whose trees, allocators, catalog and engines all reach the disk
+/// through the pool (lint rule LOB004) — belongs to one thread, so it
+/// holds no lock. The pool binds to the first thread that calls a
+/// mutating entry point (fix, unpin, PageGuard::mutable_data/MarkDirty,
+/// segment I/O, flush, invalidate, RestoreState); if any other thread
+/// calls one later, the process aborts with a diagnostic naming both
+/// threads. The check is always on, in every build type. Const
 /// inspection (IsCached/IsDirty, counters, CachedPagesSorted, SaveState,
-/// PageGuard::data) takes the reader side, so concurrent readers of a
-/// warm pool never serialize on each other. The real work happens in
-/// `*Locked` private helpers that statically require the latch
-/// (LOB_REQUIRES_SHARED for const inspection, exclusive for mutation).
-/// SimDisk I/O (and through it the obs/trace charging at ranks 40/50)
-/// runs under the pool latch, which is why kBufferPool sits below
-/// kObsRegistry/kTraceSession in the rank table. Frame pointers handed
-/// out via PageGuard stay valid while the pin is held — the pin, not the
-/// latch, is the lifetime contract.
+/// PageGuard::data) is not checked. Frame pointers handed out via
+/// PageGuard stay valid while the pin is held.
 class BufferPool {
  public:
   BufferPool(SimDisk* disk, const StorageConfig& config);
@@ -109,8 +108,7 @@ class BufferPool {
   /// Pins `page` of `area` in the pool. With kRead the page is fetched on a
   /// miss (one 1-page I/O call); with kNew the frame is zero-initialized.
   [[nodiscard]]
-  StatusOr<PageGuard> FixPage(AreaId area, PageId page, FixMode mode)
-      LOB_EXCLUDES(mu_);
+  StatusOr<PageGuard> FixPage(AreaId area, PageId page, FixMode mode);
 
   /// Reads `n_bytes` starting `byte_off` bytes into the segment that begins
   /// at page `seg_first`, into `dst`, applying the hybrid policy above.
@@ -118,7 +116,7 @@ class BufferPool {
   /// (bytes past it read as zero without validation).
   [[nodiscard]] Status ReadSegmentRange(AreaId area, PageId seg_first,
                           uint64_t seg_valid_bytes, uint64_t byte_off,
-                          uint64_t n_bytes, char* dst) LOB_EXCLUDES(mu_);
+                          uint64_t n_bytes, char* dst);
 
   /// Writes `n_bytes` at `byte_off` into the segment starting at
   /// `seg_first`. Boundary pages that intersect `seg_valid_bytes` and are
@@ -128,8 +126,7 @@ class BufferPool {
   /// immediately in one call.
   [[nodiscard]] Status WriteSegmentRange(AreaId area, PageId seg_first,
                            uint64_t seg_valid_bytes, uint64_t byte_off,
-                           uint64_t n_bytes, const char* src)
-      LOB_EXCLUDES(mu_);
+                           uint64_t n_bytes, const char* src);
 
   /// Writes `n_bytes` into a freshly allocated segment starting at `first`
   /// with a single I/O call, bypassing the pool (zero-padding the last
@@ -138,50 +135,39 @@ class BufferPool {
   /// one sequential write (paper 3.3/3.4).
   [[nodiscard]]
   Status WriteFreshSegment(AreaId area, PageId first, const char* data,
-                           uint64_t n_bytes) LOB_EXCLUDES(mu_);
+                           uint64_t n_bytes);
 
   /// Writes back every dirty cached page in [first, first+n_pages) using one
   /// I/O call per maximal contiguous dirty run; pages stay cached clean.
-  [[nodiscard]] Status FlushRun(AreaId area, PageId first, uint32_t n_pages)
-      LOB_EXCLUDES(mu_);
+  [[nodiscard]] Status FlushRun(AreaId area, PageId first, uint32_t n_pages);
 
   /// Writes back all dirty pages (one call per page run per area).
-  [[nodiscard]] Status FlushAll() LOB_EXCLUDES(mu_);
+  [[nodiscard]] Status FlushAll();
 
   /// Drops cached copies of [first, first+n_pages): dirty pages are *not*
   /// written back (their content is superseded); pinned pages are an error.
-  [[nodiscard]] Status Invalidate(AreaId area, PageId first, uint32_t n_pages)
-      LOB_EXCLUDES(mu_);
+  [[nodiscard]] Status Invalidate(AreaId area, PageId first, uint32_t n_pages);
 
   /// True if the page currently resides in the pool.
-  bool IsCached(AreaId area, PageId page) const LOB_EXCLUDES(mu_);
-  bool IsDirty(AreaId area, PageId page) const LOB_EXCLUDES(mu_);
+  bool IsCached(AreaId area, PageId page) const;
+  bool IsDirty(AreaId area, PageId page) const;
 
   uint32_t pool_pages() const { return config_.buffer_pool_pages; }
   uint32_t page_size() const { return config_.page_size; }
   SimDisk* disk() const { return disk_; }
 
   /// Number of FixPage calls served without disk I/O (for tests/metrics).
-  uint64_t hits() const LOB_EXCLUDES(mu_) {
-    ReaderMutexLock lock(&mu_);
-    return hits_;
-  }
-  uint64_t misses() const LOB_EXCLUDES(mu_) {
-    ReaderMutexLock lock(&mu_);
-    return misses_;
-  }
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
   /// Number of valid frames evicted to make room (dirty or clean).
-  uint64_t evictions() const LOB_EXCLUDES(mu_) {
-    ReaderMutexLock lock(&mu_);
-    return evictions_;
-  }
+  uint64_t evictions() const { return evictions_; }
 
   /// Copies the pool counters into `obs` as the `pool.fix_hits`,
   /// `pool.fix_misses` and `pool.evictions` counters (overwriting, not
   /// accumulating, so repeated exports stay idempotent). The counters
   /// live here as plain fields to keep FixPage off the registry's map
   /// lookups; exporters call this at snapshot time instead.
-  void PublishCounters(ObsRegistry* obs) const LOB_EXCLUDES(mu_);
+  void PublishCounters(ObsRegistry* obs) const;
 
   /// One entry of the ordered cached-page enumeration below.
   struct CachedPage {
@@ -203,7 +189,7 @@ class BufferPool {
   /// ordering into exporters (tools/lob_lint.py rule LOB002/unordered-iter
   /// rejects such iteration; the buffer_pool_test permutation test pins
   /// this function's insertion-order independence).
-  std::vector<CachedPage> CachedPagesSorted() const LOB_EXCLUDES(mu_);
+  std::vector<CachedPage> CachedPagesSorted() const;
 
  private:
   friend class PageGuard;
@@ -220,72 +206,60 @@ class BufferPool {
     uint64_t lru = 0;
   };
 
-  char* SlotData(uint32_t slot) LOB_REQUIRES(mu_) {
+  /// Binds the pool to the calling thread on first use and aborts when
+  /// any other thread calls later (see the class comment).
+  void CheckOwner();
+
+  char* SlotData(uint32_t slot) {
     return arena_.data() + static_cast<size_t>(slot) * config_.page_size;
   }
-  const char* SlotData(uint32_t slot) const LOB_REQUIRES_SHARED(mu_) {
+  const char* SlotData(uint32_t slot) const {
     return arena_.data() + static_cast<size_t>(slot) * config_.page_size;
   }
 
   /// The frame's current bytes: the borrowed image or the pool slot.
-  const char* FrameDataLocked(uint32_t slot) const LOB_REQUIRES_SHARED(mu_) {
+  const char* FrameData(uint32_t slot) const {
     const Frame& f = frames_[slot];
     return f.borrow != nullptr ? f.borrow : SlotData(slot);
   }
 
   /// Copies a borrowed image into the frame's pool slot (no-op when
   /// already materialized) and returns the now-private slot bytes.
-  char* MaterializeSlotLocked(uint32_t slot) LOB_REQUIRES(mu_);
+  char* MaterializeSlot(uint32_t slot);
 
   static uint64_t Key(AreaId area, PageId page) {
     return (static_cast<uint64_t>(area) << 32) | page;
   }
 
-  int FindSlot(AreaId area, PageId page) const LOB_REQUIRES_SHARED(mu_);
-
-  /// Core of FixPage: pins (area, page) and returns its slot. The public
-  /// wrapper turns the slot into a PageGuard; segment-range internals use
-  /// the slot directly (paired with UnpinLocked) so they can fix pages
-  /// without dropping and re-taking the pool latch.
-  [[nodiscard]]
-  StatusOr<uint32_t> FixSlotLocked(AreaId area, PageId page, FixMode mode)
-      LOB_REQUIRES(mu_);
+  int FindSlot(AreaId area, PageId page) const;
 
   /// Picks a victim frame (unpinned; clean preferred, then LRU), writing a
   /// dirty victim back. Returns slot or error if everything is pinned.
-  [[nodiscard]] StatusOr<uint32_t> GetFreeSlot() LOB_REQUIRES(mu_);
+  [[nodiscard]] StatusOr<uint32_t> GetFreeSlot();
 
   /// Evicts whatever lives in `slot` (must be unpinned), flushing if dirty.
-  [[nodiscard]] Status EvictSlot(uint32_t slot) LOB_REQUIRES(mu_);
+  [[nodiscard]] Status EvictSlot(uint32_t slot);
 
   /// Flushes (if dirty) and drops any cached pages within the range.
   /// Fails if one of them is pinned.
   [[nodiscard]]
-  Status FlushAndDropRange(AreaId area, PageId first, uint32_t n_pages)
-      LOB_REQUIRES(mu_);
+  Status FlushAndDropRange(AreaId area, PageId first, uint32_t n_pages);
 
-  [[nodiscard]]
-  Status FlushRunLocked(AreaId area, PageId first, uint32_t n_pages)
-      LOB_REQUIRES(mu_);
+  void Unpin(uint32_t slot);
 
-  void UnpinLocked(uint32_t slot) LOB_REQUIRES(mu_);
-  void Unpin(uint32_t slot) LOB_EXCLUDES(mu_);
-
-  /// Pool latch (LockRank::kBufferPool), reader-writer. `mutable` so
-  /// const inspection entry points (IsCached, CachedPagesSorted,
-  /// SaveState, counters) can take the shared side.
-  mutable SharedMutex mu_{LockRank::kBufferPool};
+  /// The owning thread; empty until the first mutating call binds it.
+  std::atomic<std::thread::id> owner_{};
   SimDisk* const disk_;
   const StorageConfig config_;
-  std::vector<char> arena_ LOB_GUARDED_BY(mu_);
-  std::vector<Frame> frames_ LOB_GUARDED_BY(mu_);
-  PageTable map_ LOB_GUARDED_BY(mu_);
+  std::vector<char> arena_;
+  std::vector<Frame> frames_;
+  PageTable map_;
   /// Staging for run I/O gather/scatter arrays.
-  ScratchArena scratch_ LOB_GUARDED_BY(mu_);
-  uint64_t tick_ LOB_GUARDED_BY(mu_) = 0;
-  uint64_t hits_ LOB_GUARDED_BY(mu_) = 0;
-  uint64_t misses_ LOB_GUARDED_BY(mu_) = 0;
-  uint64_t evictions_ LOB_GUARDED_BY(mu_) = 0;
+  ScratchArena scratch_;
+  uint64_t tick_ = 0;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+  uint64_t evictions_ = 0;
 
  public:
   /// Opaque snapshot of the cached state: page contents, frame table,
@@ -309,8 +283,8 @@ class BufferPool {
     uint64_t misses = 0;
     uint64_t evictions = 0;
   };
-  State SaveState() const LOB_EXCLUDES(mu_);
-  void RestoreState(const State& state) LOB_EXCLUDES(mu_);
+  State SaveState() const;
+  void RestoreState(const State& state);
 };
 
 }  // namespace lob

@@ -7,6 +7,12 @@
 // acquisition order, so any two threads that respect it cannot deadlock on
 // these mutexes (see docs/ARCHITECTURE.md "Lock-rank table").
 //
+// Only state that several threads really share is locked: the experiment
+// engine (thread pool, campaign), the obs/trace recorders and the log
+// sink. The storage layer holds no lock at all — a StorageSystem is
+// confined to the one thread that owns it, and BufferPool aborts when a
+// second thread reaches it (see buffer/buffer_pool.h).
+//
 // The types carry Clang capability annotations (common/thread_annotations.h)
 // so -Wthread-safety checks guard discipline at compile time; the rank
 // stack checks acquisition *order* at run time. Raw std::mutex /
@@ -20,7 +26,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/thread_annotations.h"
 
@@ -45,22 +50,12 @@ namespace lob {
     "ThreadPool queue + stop flag; never held while a task body runs")       \
   X(kCampaign, 20, "exec.campaign",                                          \
     "campaign progress counter; taken briefly by workers between cells")     \
-  X(kLobTree, 24, "lobtree.positional",                                      \
-    "PositionalTree node table + aux state; an op latches its tree before "  \
-    "touching the allocator or the pool")                                    \
-  X(kBuddyDirectory, 26, "buddy.directory",                                  \
-    "DatabaseArea buddy directory + free tree; acquired under the tree "     \
-    "latch and held across directory-block pool I/O (26 < 30, so "           \
-    "allocator bookkeeping orders before frame latching)")                   \
-  X(kBufferPool, 30, "buffer.pool",                                          \
-    "BufferPool frame table, LRU clock, hit/miss counters; outermost "       \
-    "storage-layer lock (SimDisk charges obs/trace beneath it)")             \
   X(kObsRegistry, 40, "obs.registry",                                        \
-    "ObsRegistry op ledger, counters, histograms; acquired under the "       \
-    "pool lock by SimDisk attribution")                                      \
+    "ObsRegistry op ledger, counters, histograms; taken by SimDisk "         \
+    "attribution on every metered call")                                     \
   X(kTraceSession, 50, "trace.session",                                      \
-    "TraceSession span stack + event buffer; spans open under the pool "     \
-    "lock")                                                                  \
+    "TraceSession span stack + event buffer; SimDisk records io spans "      \
+    "into it")                                                               \
   X(kTimeline, 60, "trace.timeline",                                         \
     "TimelineSampler sample buffer")                                         \
   X(kLogSink, 100, "common.log_sink",                                        \
@@ -77,9 +72,9 @@ enum class LockRank : int {
 
 /// One row of the rank table, for introspection (`lobtool locks`).
 struct LockRankRow {
-  const char* name;         // enumerator, e.g. "kBufferPool"
+  const char* name;         // enumerator, e.g. "kObsRegistry"
   int rank;                 // numeric rank (acquisition order, ascending)
-  const char* id;           // stable dotted id, e.g. "buffer.pool"
+  const char* id;           // stable dotted id, e.g. "obs.registry"
   const char* description;  // what it protects and why it sits here
 };
 
@@ -89,7 +84,7 @@ inline constexpr LockRankRow kLockRankRows[] = {
 #undef LOB_LOCK_RANK_ROW
 };
 
-/// Dotted id for a rank ("buffer.pool"), or "?" for an unregistered value.
+/// Dotted id for a rank ("obs.registry"), or "?" for an unregistered value.
 inline const char* LockRankName(LockRank r) {
   for (const LockRankRow& row : kLockRankRows) {
     if (row.rank == static_cast<int>(r)) return row.id;
@@ -239,69 +234,6 @@ class LOB_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-/// Capability-annotated reader/writer mutex with a mandatory rank. Shared
-/// acquisition obeys the same rank order as exclusive acquisition.
-class LOB_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  explicit SharedMutex(LockRank rank) : rank_(static_cast<int>(rank)) {}
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() LOB_ACQUIRE() {
-    internal::CheckAcquireOrder(rank_);
-    mu_.lock();
-    internal::PushHeld(this, rank_);
-  }
-  void Unlock() LOB_RELEASE() {
-    internal::PopHeld(this);
-    mu_.unlock();
-  }
-  void LockShared() LOB_ACQUIRE_SHARED() {
-    internal::CheckAcquireOrder(rank_);
-    mu_.lock_shared();
-    internal::PushHeld(this, rank_);
-  }
-  void UnlockShared() LOB_RELEASE_SHARED() {
-    internal::PopHeld(this);
-    mu_.unlock_shared();
-  }
-
-  LockRank rank() const { return static_cast<LockRank>(rank_); }
-
- private:
-  std::shared_mutex mu_;
-  const int rank_;
-};
-
-/// RAII exclusive lock for SharedMutex.
-class LOB_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex* mu) LOB_ACQUIRE(mu) : mu_(mu) {
-    mu_->Lock();
-  }
-  ~WriterMutexLock() LOB_RELEASE() { mu_->Unlock(); }
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex* const mu_;
-};
-
-/// RAII shared lock for SharedMutex.
-class LOB_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex* mu) LOB_ACQUIRE_SHARED(mu)
-      : mu_(mu) {
-    mu_->LockShared();
-  }
-  ~ReaderMutexLock() LOB_RELEASE_SHARED() { mu_->UnlockShared(); }
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex* const mu_;
 };
 
 /// Condition variable for use with Mutex. No predicate overload on

@@ -34,18 +34,12 @@
 /// leaves them held).
 #define LOB_REQUIRES(...) \
   LOB_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define LOB_REQUIRES_SHARED(...) \
-  LOB_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 
 /// Function acquires the listed capabilities (caller must not hold them).
 #define LOB_ACQUIRE(...) LOB_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define LOB_ACQUIRE_SHARED(...) \
-  LOB_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 
 /// Function releases the listed capabilities (caller must hold them).
 #define LOB_RELEASE(...) LOB_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define LOB_RELEASE_SHARED(...) \
-  LOB_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 
 /// Function acquires the capability iff it returns `b`.
 #define LOB_TRY_ACQUIRE(b, ...) \

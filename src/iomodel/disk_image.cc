@@ -97,7 +97,8 @@ Status LoadDiskImage(SimDisk* disk, const std::string& path) {
           std::fread(buf.data(), page_size, 1, f.get()) != 1) {
         return Status::Corruption("truncated page record");
       }
-      LOB_RETURN_IF_ERROR(disk->Write(area, page, 1, buf.data()));
+      const char* src = buf.data();
+      LOB_RETURN_IF_ERROR(disk->WriteRun(area, page, 1, &src));
     }
   }
   disk->ResetStats();  // restoring the image is not simulated work

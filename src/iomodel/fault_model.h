@@ -1,10 +1,9 @@
 // Fault model for SimDisk: declarative descriptions of injected I/O
 // failures.
 //
-// The original failure-injection knob was a single global countdown
-// (`InjectFailureAfter(k)`: fail every call after k successes). That is
-// enough to prove "errors propagate as Status", but not to *search* the
-// failure space: a campaign needs one-shot faults (fail exactly the k-th
+// A single global countdown (fail every call after k successes) is enough
+// to prove "errors propagate as Status", but not to *search* the failure
+// space: a campaign needs one-shot faults (fail exactly the k-th
 // call, then heal), transient faults (fail a few calls, then heal),
 // faults scoped to one logical operation (reusing the per-op attribution
 // labels of OpScope) or to one page range, and a seedable plan so a whole

@@ -101,8 +101,6 @@ void SimDisk::AccountCall(bool is_read, uint32_t n_pages) {
             current_op_ != nullptr ? current_op_ : ObsRegistry::kUnattributed);
         attr_gen_ = obs_->attribution_generation();
       }
-      // Charge through the registry latch: AccountCall can run under the
-      // BufferPool latch (rank 30 < kObsRegistry 40, so the order holds).
       obs_->AttributeTo(static_cast<ObsRegistry::OpRecord*>(attr_rec_), call);
     }
 #if LOB_TRACING
@@ -137,18 +135,6 @@ uint32_t SimDisk::armed_faults() const {
     if (!f.exhausted) ++n;
   }
   return n;
-}
-
-void SimDisk::InjectFailureAfter(int64_t calls) {
-  faults_.erase(std::remove_if(faults_.begin(), faults_.end(),
-                               [](const ArmedFault& f) { return f.legacy; }),
-                faults_.end());
-  if (calls < 0) return;
-  ArmedFault armed;
-  armed.spec.kind = FaultKind::kSticky;
-  armed.spec.after_calls = static_cast<uint64_t>(calls);
-  armed.legacy = true;
-  faults_.push_back(std::move(armed));
 }
 
 Status SimDisk::CheckFaults(bool is_read, AreaId area, PageId first,
@@ -235,39 +221,6 @@ char* SimDisk::PageData(Area& area, PageId page, bool create) {
     std::memset(slot.get(), 0, config_.page_size);
   }
   return slot.get();
-}
-
-Status SimDisk::Read(AreaId area, PageId first, uint32_t n_pages, void* dst) {
-  LOB_RETURN_IF_ERROR(CheckRange(area, first, n_pages));
-  LOB_RETURN_IF_ERROR(CheckFaults(/*is_read=*/true, area, first, n_pages));
-  char* out = static_cast<char*>(dst);
-  Area& a = areas_[area];
-  for (uint32_t i = 0; i < n_pages; ++i) {
-    const char* src = PageData(a, first + i, /*create=*/false);
-    if (src == nullptr) {
-      std::memset(out, 0, config_.page_size);
-    } else {
-      std::memcpy(out, src, config_.page_size);
-    }
-    out += config_.page_size;
-  }
-  AccountCall(/*is_read=*/true, n_pages);
-  return Status::OK();
-}
-
-Status SimDisk::Write(AreaId area, PageId first, uint32_t n_pages,
-                      const void* src) {
-  LOB_RETURN_IF_ERROR(CheckRange(area, first, n_pages));
-  LOB_RETURN_IF_ERROR(CheckFaults(/*is_read=*/false, area, first, n_pages));
-  const char* in = static_cast<const char*>(src);
-  Area& a = areas_[area];
-  for (uint32_t i = 0; i < n_pages; ++i) {
-    char* dst = PageData(a, first + i, /*create=*/true);
-    std::memcpy(dst, in, config_.page_size);
-    in += config_.page_size;
-  }
-  AccountCall(/*is_read=*/false, n_pages);
-  return Status::OK();
 }
 
 Status SimDisk::ReadRun(AreaId area, PageId first, uint32_t n_pages,

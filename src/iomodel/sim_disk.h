@@ -5,8 +5,8 @@
 // "simply keeping track of the number of disk I/O calls (to count disk
 // seeks) and the number of pages involved in each access" (4.1). SimDisk is
 // the same idea taken one step further: every area stores real bytes in
-// memory so correctness is testable, and every Read/Write call is charged
-// `seek_ms + n_pages * PageTransferMs()`.
+// memory so correctness is testable, and every ReadRun/WriteRun call is
+// charged `seek_ms + n_pages * PageTransferMs()`.
 //
 // An I/O call always covers physically adjacent pages of one area; callers
 // that need scattered pages issue multiple calls (and pay multiple seeks),
@@ -44,7 +44,7 @@ constexpr PageId kInvalidPage = UINT32_MAX;
 ///
 /// Stability contract: page images never move or disappear for the life of
 /// the disk, so the pointer stays valid indefinitely. The bytes are the
-/// *live* image — a later Write to the page shows through the view. A null
+/// *live* image — a later WriteRun to the page shows through the view. A null
 /// `data` means the page was never written and reads as zeros.
 struct PageRef {
   const char* data = nullptr;
@@ -71,21 +71,10 @@ class SimDisk {
   /// Number of areas created so far.
   uint32_t num_areas() const { return static_cast<uint32_t>(areas_.size()); }
 
-  /// Reads `n_pages` physically adjacent pages starting at `first` into
-  /// `dst` (which must hold n_pages * page_size bytes). One I/O call:
-  /// costs one seek plus n_pages transfers. Pages never written read as
-  /// zeros.
-  [[nodiscard]]
-  Status Read(AreaId area, PageId first, uint32_t n_pages, void* dst);
-
-  /// Writes `n_pages` physically adjacent pages from `src`. One I/O call.
-  [[nodiscard]]
-  Status Write(AreaId area, PageId first, uint32_t n_pages, const void* src);
-
-  /// Zero-copy read of `n_pages` physically adjacent pages: fills `refs`
-  /// with borrowed views of the page images instead of copying them out.
-  /// Metered and fault-checked exactly like Read of the same range (one
-  /// call: one seek + n_pages transfers).
+  /// Zero-copy read of `n_pages` physically adjacent pages starting at
+  /// `first`: fills `refs` with borrowed views of the page images instead
+  /// of copying them out. One I/O call: costs one seek plus n_pages
+  /// transfers.
   [[nodiscard]]
   Status ReadRun(AreaId area, PageId first, uint32_t n_pages, PageRef* refs);
 
@@ -93,8 +82,7 @@ class SimDisk {
   /// from `srcs[i]` (null = zero-fill; a pointer aliasing the page's own
   /// image is a no-op, letting coherence refreshes pass borrowed views
   /// back). When `imgs` is non-null it receives borrowed views of the
-  /// written images. Metered and fault-checked exactly like Write of the
-  /// same range.
+  /// written images. One I/O call, metered like ReadRun.
   [[nodiscard]]
   Status WriteRun(AreaId area, PageId first, uint32_t n_pages,
                   const char* const* srcs, MutPageRef* imgs = nullptr);
@@ -194,7 +182,7 @@ class SimDisk {
   /// armed.
   void ArmPlan(const FaultPlan& plan);
 
-  /// Disarms all faults, including any armed via InjectFailureAfter.
+  /// Disarms all faults.
   void ClearFaults() { faults_.clear(); }
 
   /// Number of armed faults that have not yet exhausted (a sticky fault
@@ -216,14 +204,6 @@ class SimDisk {
   /// metrics snapshot exports it so fault-campaign cells show their
   /// injected-failure count alongside the cost numbers.
   uint64_t faults_fired() const { return faults_fired_; }
-
-  /// Legacy single-knob injection (tests): after `calls` further
-  /// attributed foreground I/O calls, every such call fails with
-  /// Internal until cleared with a negative value. Implemented as a
-  /// sticky FaultSpec; a negative `calls` removes only faults armed
-  /// through this entry point (faults armed via ArmFault/ArmPlan stay).
-  /// See the countdown contract above for exactly which calls count.
-  void InjectFailureAfter(int64_t calls);
 
   // ---- Per-operation attribution (see obs/obs_registry.h) ----
 
@@ -286,7 +266,6 @@ class SimDisk {
     uint64_t matched_calls = 0;  ///< matching calls that succeeded so far
     uint32_t fired = 0;          ///< matching calls this fault failed
     bool exhausted = false;
-    bool legacy = false;  ///< armed via InjectFailureAfter
   };
 
   [[nodiscard]]

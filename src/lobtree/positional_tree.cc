@@ -58,7 +58,6 @@ PositionalTree::PositionalTree(const TreeConfig& config) : config_(config) {
 }
 
 StatusOr<PageId> PositionalTree::CreateObject(uint8_t engine) {
-  WriterMutexLock lock(&latch_);
   LOB_TRACE_SPAN(config_.pool->disk(), "tree.create");
   auto ext = ScopedExtent::Allocate(config_.meta_area, config_.pool, 1);
   if (!ext.ok()) return ext.status();
@@ -80,7 +79,6 @@ Status PositionalTree::FreeIndexPage(PageId page) {
 }
 
 Status PositionalTree::DestroyObject(PageId root) {
-  WriterMutexLock lock(&latch_);
   LOB_TRACE_SPAN(config_.pool->disk(), "tree.destroy");
   // Free internal nodes depth-first, then the root page itself.
   struct Walker {
@@ -110,11 +108,6 @@ Status PositionalTree::DestroyObject(PageId root) {
 }
 
 StatusOr<uint64_t> PositionalTree::Size(PageId root) {
-  ReaderMutexLock lock(&latch_);
-  return SizeLocked(root);
-}
-
-StatusOr<uint64_t> PositionalTree::SizeLocked(PageId root) {
   auto g = config_.pool->FixPage(meta_area_id(), root, FixMode::kRead);
   if (!g.ok()) return g.status();
   ConstNodeView v(g->data(), config_.pool->page_size(), /*is_root=*/true);
@@ -124,12 +117,6 @@ StatusOr<uint64_t> PositionalTree::SizeLocked(PageId root) {
 
 StatusOr<PositionalTree::LeafInfo> PositionalTree::FindLeaf(PageId root,
                                                             uint64_t offset) {
-  ReaderMutexLock lock(&latch_);
-  return FindLeafLocked(root, offset);
-}
-
-StatusOr<PositionalTree::LeafInfo> PositionalTree::FindLeafLocked(
-    PageId root, uint64_t offset) {
   LOB_TRACE_SPAN(config_.pool->disk(), "tree.descend");
   PageId page = root;
   bool is_root = true;
@@ -156,11 +143,10 @@ StatusOr<PositionalTree::LeafInfo> PositionalTree::FindLeafLocked(
 }
 
 StatusOr<PositionalTree::LeafInfo> PositionalTree::LastLeaf(PageId root) {
-  ReaderMutexLock lock(&latch_);
-  auto size = SizeLocked(root);
+  auto size = Size(root);
   if (!size.ok()) return size.status();
   if (*size == 0) return Status::NotFound("empty object");
-  return FindLeafLocked(root, *size - 1);
+  return FindLeaf(root, *size - 1);
 }
 
 StatusOr<PageId> PositionalTree::PrepareModify(PageId page, OpContext* ctx) {
@@ -349,10 +335,9 @@ StatusOr<PositionalTree::SplitResult> PositionalTree::InsertRec(
 
 Status PositionalTree::InsertLeaf(PageId root, uint64_t at,
                                   const LeafEntry& entry, OpContext* ctx) {
-  WriterMutexLock lock(&latch_);
   LOB_TRACE_SPAN(config_.pool->disk(), "tree.insert");
   if (entry.bytes == 0) return Status::InvalidArgument("empty leaf entry");
-  auto size = SizeLocked(root);
+  auto size = Size(root);
   if (!size.ok()) return size.status();
   if (at > *size) return Status::OutOfRange("insert past object end");
   auto res = InsertRec(root, /*is_root=*/true, at, entry, ctx);
@@ -561,7 +546,6 @@ Status PositionalTree::MaybeCollapseRoot(PageId root, OpContext* ctx) {
 StatusOr<LeafEntry> PositionalTree::RemoveLeaf(PageId root,
                                                uint64_t leaf_start,
                                                OpContext* ctx) {
-  WriterMutexLock lock(&latch_);
   LOB_TRACE_SPAN(config_.pool->disk(), "tree.remove");
   auto removed = RemoveRec(root, /*is_root=*/true, leaf_start, ctx);
   if (!removed.ok()) return removed;
@@ -617,7 +601,6 @@ Status PositionalTree::UpdateRec(PageId page, bool is_root, uint64_t rel,
 
 Status PositionalTree::UpdateLeaf(PageId root, uint64_t offset, int64_t delta,
                                   PageId new_page, OpContext* ctx) {
-  WriterMutexLock lock(&latch_);
   LOB_TRACE_SPAN(config_.pool->disk(), "tree.update");
   return UpdateRec(root, /*is_root=*/true, offset, delta, new_page, ctx);
 }
@@ -649,13 +632,11 @@ Status PositionalTree::VisitRec(
 
 Status PositionalTree::VisitLeaves(
     PageId root, const std::function<Status(const LeafInfo&)>& fn) {
-  ReaderMutexLock lock(&latch_);
   return VisitRec(root, /*is_root=*/true, 0, fn);
 }
 
 Status PositionalTree::VisitIndexPages(
     PageId root, const std::function<Status(PageId)>& fn) {
-  ReaderMutexLock lock(&latch_);
   struct Walker {
     PositionalTree* tree;
     const std::function<Status(PageId)>& fn;
@@ -683,7 +664,6 @@ Status PositionalTree::VisitIndexPages(
 }
 
 StatusOr<uint32_t> PositionalTree::GetAux(PageId root) {
-  ReaderMutexLock lock(&latch_);
   auto g = config_.pool->FixPage(meta_area_id(), root, FixMode::kRead);
   if (!g.ok()) return g.status();
   ConstNodeView v(g->data(), config_.pool->page_size(), /*is_root=*/true);
@@ -691,7 +671,6 @@ StatusOr<uint32_t> PositionalTree::GetAux(PageId root) {
 }
 
 Status PositionalTree::SetAux(PageId root, uint32_t value) {
-  WriterMutexLock lock(&latch_);
   auto g = config_.pool->FixPage(meta_area_id(), root, FixMode::kRead);
   if (!g.ok()) return g.status();
   NodeView v(g->mutable_data(), config_.pool->page_size(), /*is_root=*/true);
@@ -701,7 +680,6 @@ Status PositionalTree::SetAux(PageId root, uint32_t value) {
 }
 
 StatusOr<uint8_t> PositionalTree::GetEngine(PageId root) {
-  ReaderMutexLock lock(&latch_);
   auto g = config_.pool->FixPage(meta_area_id(), root, FixMode::kRead);
   if (!g.ok()) return g.status();
   ConstNodeView v(g->data(), config_.pool->page_size(), /*is_root=*/true);
@@ -764,7 +742,6 @@ Status PositionalTree::ValidateRec(PageId page, bool is_root,
 }
 
 StatusOr<PositionalTree::TreeStatsInfo> PositionalTree::Validate(PageId root) {
-  ReaderMutexLock lock(&latch_);
   TreeStatsInfo stats;
   stats.index_pages = 0;
   {

@@ -18,12 +18,9 @@
 // Non-root nodes are kept at least half full (borrow/merge on underflow),
 // as required for ESM's structure; EOS reuses the identical node code.
 //
-// Concurrency: a reader-writer latch at LockRank::kLobTree serializes
-// logical index operations — structural mutations (create/destroy,
-// insert/remove/update, SetAux) take the writer side, descents and walks
-// (Size, FindLeaf, visitors, Validate) the reader side. The latch ranks
-// below the buddy (26) and pool (30) latches because an index op latches
-// its tree first, then allocates index pages and fixes node pages.
+// The tree holds no lock: like the rest of a StorageSystem it is confined
+// to one thread, which the buffer pool it fixes node pages through checks
+// (see buffer/buffer_pool.h).
 
 #ifndef LOB_LOBTREE_POSITIONAL_TREE_H_
 #define LOB_LOBTREE_POSITIONAL_TREE_H_
@@ -35,9 +32,7 @@
 #include "buddy/database_area.h"
 #include "buffer/buffer_pool.h"
 #include "buffer/op_context.h"
-#include "common/lock_order.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "lobtree/node_layout.h"
 
 namespace lob {
@@ -139,14 +134,6 @@ class PositionalTree {
                    : config_.limits.internal_capacity;
   }
 
-  /// Bodies of Size/FindLeaf for callers already holding the latch
-  /// (LastLeaf composes both; InsertLeaf validates against the size).
-  [[nodiscard]]
-  StatusOr<uint64_t> SizeLocked(PageId root) LOB_REQUIRES_SHARED(latch_);
-  [[nodiscard]]
-  StatusOr<LeafInfo> FindLeafLocked(PageId root, uint64_t offset)
-      LOB_REQUIRES_SHARED(latch_);
-
   /// Shadows `page` (non-root, once per op) and schedules it for end-of-op
   /// flush; returns the page to modify (== `page` unless relocated).
   [[nodiscard]] StatusOr<PageId> PrepareModify(PageId page, OpContext* ctx);
@@ -192,12 +179,7 @@ class PositionalTree {
   [[nodiscard]] Status VisitRec(PageId page, bool is_root, uint64_t base,
                   const std::function<Status(const LeafInfo&)>& fn);
 
-  /// Tree latch (LockRank::kLobTree), reader-writer; `mutable` would be
-  /// unnecessary — every entry point is non-const. Serializes logical
-  /// index ops; node pages themselves are protected by the pool latch
-  /// the fixes take underneath.
-  SharedMutex latch_{LockRank::kLobTree};
-  TreeConfig config_;  // LOBLINT(lock-rank): construction-immutable
+  TreeConfig config_;
 };
 
 }  // namespace lob

@@ -4,7 +4,7 @@
 // per I/O call plus 4 ms per 4K page, 4.1). The registry turns that from a
 // hand-subtracted global counter into an attributed ledger: an OpScope (see
 // op_scope.h) tags the current logical operation ("esm.append",
-// "eos.insert", ...) on the SimDisk, and every metered Read/Write call is
+// "eos.insert", ...) on the SimDisk, and every metered SimDisk call is
 // charged to exactly one operation label. I/O issued outside any scope is
 // charged to kUnattributed, so the conservation invariant
 //
@@ -100,8 +100,7 @@ class Histogram {
 ///
 /// Locking: the mutating entry points used on the measurement path
 /// (AttributeCall/AttributeTo/RecordOpEnd) and the exporters take the
-/// registry latch (LockRank::kObsRegistry — above the pool latch, since
-/// SimDisk charges the ledger while BufferPool holds rank 30). The
+/// registry latch (LockRank::kObsRegistry). The
 /// reference-returning accessors (Counter, Histo, ops(), ...) are
 /// thread-*compatible*, not thread-safe: they hand out pointers into
 /// guarded maps for single-threaded setup and quiesced export phases, and
@@ -152,8 +151,7 @@ class ObsRegistry {
   }
 
   /// Charges one metered I/O call to a cached ledger record — SimDisk's
-  /// hot path (one latched add per call, no map lookup). Runs under the
-  /// BufferPool latch (rank 30), which is why kObsRegistry ranks above it.
+  /// hot path (one latched add per call, no map lookup).
   void AttributeTo(OpRecord* rec, const IoStats& call) LOB_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     rec->io += call;
@@ -252,6 +250,7 @@ class ObsRegistry {
     Histogram* pages = nullptr;
     Histogram* queue = nullptr;  ///< resolved lazily, queue-model runs only
   };
+  using OpEndMemo = std::map<std::string, OpEndEntry, std::less<>>;
 
   /// Registry latch (LockRank::kObsRegistry); mutable for const
   /// exporters and generation reads.
@@ -259,8 +258,7 @@ class ObsRegistry {
   std::map<std::string, OpRecord> ops_ LOB_GUARDED_BY(mu_);
   std::map<std::string, uint64_t> counters_ LOB_GUARDED_BY(mu_);
   std::map<std::string, Histogram> histograms_ LOB_GUARDED_BY(mu_);
-  std::map<std::string, OpEndEntry, std::less<>> op_end_memo_
-      LOB_GUARDED_BY(mu_);
+  OpEndMemo op_end_memo_ LOB_GUARDED_BY(mu_);
   uint64_t attr_gen_ LOB_GUARDED_BY(mu_) = 0;
   bool high_res_ops_ LOB_GUARDED_BY(mu_) = false;
 };

@@ -2,7 +2,7 @@
 //
 // A manager entry point constructs an OpScope naming the logical operation
 // ("<engine>.<op>", e.g. "esm.append"). While the scope is alive, every
-// metered SimDisk Read/Write call — including buffer pool misses,
+// metered SimDisk ReadRun/WriteRun call — including buffer pool misses,
 // evictions and the deferred end-of-operation flushes issued through
 // OpContext::Finish — is charged to that label in the disk's ObsRegistry.
 // On destruction the scope records the operation's total modeled ms, seeks

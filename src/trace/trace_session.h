@@ -86,8 +86,7 @@ class TraceSession {
 
   /// Records one metered disk call as a "disk.io" leaf under the
   /// currently open span (root level when none is open). Called by
-  /// SimDisk::AccountCall, which can run under the BufferPool latch —
-  /// hence kTraceSession ranks above kBufferPool.
+  /// SimDisk::AccountCall on every metered call.
   void RecordIo(bool is_read, uint32_t pages, double start_ms, double dur_ms)
       LOB_EXCLUDES(mu_);
 
@@ -143,8 +142,7 @@ class TraceSession {
 
   /// Session latch (LockRank::kTraceSession). One session per job keeps
   /// contention nil today; the latch makes the recording entry points
-  /// safe for the shared-session serving arc and lets RecordIo run under
-  /// the pool latch without a rank inversion.
+  /// safe to share between threads.
   mutable Mutex mu_{LockRank::kTraceSession};
   std::vector<std::string> names_ LOB_GUARDED_BY(mu_);
   std::map<std::string, uint32_t, std::less<>> name_ids_ LOB_GUARDED_BY(mu_);

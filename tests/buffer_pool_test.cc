@@ -6,6 +6,7 @@
 
 #include "buffer/buffer_pool.h"
 #include "common/rng.h"
+#include "disk_test_util.h"
 #include "iomodel/sim_disk.h"
 
 namespace lob {
@@ -21,7 +22,7 @@ class BufferPoolTest : public ::testing::Test {
     for (size_t i = 0; i < buf.size(); ++i) {
       buf[i] = static_cast<char>('a' + (first * 4096 + i) % 23);
     }
-    ASSERT_TRUE(disk_.Write(area_, first, pages, buf.data()).ok());
+    ASSERT_TRUE(WritePages(&disk_, area_, first, pages, buf.data()).ok());
     disk_.ResetStats();
   }
 
@@ -73,7 +74,7 @@ TEST_F(BufferPoolTest, DirtyPageWrittenBackOnEviction) {
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(disk_.stats().write_calls, 1u);
   std::vector<char> buf(4096);
-  ASSERT_TRUE(disk_.Read(area_, 0, 1, buf.data()).ok());
+  ASSERT_TRUE(ReadPages(&disk_, area_, 0, 1, buf.data()).ok());
   EXPECT_EQ(buf[0], 1) << "page 0 (the LRU victim) must be on disk";
 }
 
@@ -170,7 +171,7 @@ TEST_F(BufferPoolTest, SmallWriteStaysDirtyUntilFlushRun) {
   EXPECT_EQ(disk_.stats().write_calls, 1u) << "one sequential call";
   EXPECT_EQ(disk_.stats().pages_written, 2u);
   std::vector<char> buf(2 * 4096);
-  ASSERT_TRUE(disk_.Read(area_, 0, 2, buf.data()).ok());
+  ASSERT_TRUE(ReadPages(&disk_, area_, 0, 2, buf.data()).ok());
   EXPECT_EQ(buf[0], 'Q');
   EXPECT_EQ(buf[2 * 4096 - 1], 'Q');
 }
@@ -182,7 +183,7 @@ TEST_F(BufferPoolTest, LargeWriteGoesDirectInOneCall) {
   EXPECT_EQ(disk_.stats().write_calls, 1u);
   EXPECT_EQ(disk_.stats().pages_written, 6u);
   std::vector<char> buf(4096);
-  ASSERT_TRUE(disk_.Read(area_, 5, 1, buf.data()).ok());
+  ASSERT_TRUE(ReadPages(&disk_, area_, 5, 1, buf.data()).ok());
   EXPECT_EQ(buf[0], 'Z');
 }
 
@@ -204,7 +205,7 @@ TEST_F(BufferPoolTest, PartialWritePreservesValidBytes) {
   EXPECT_EQ(disk_.stats().read_calls, 1u) << "read-modify-write";
   ASSERT_TRUE(pool_.FlushRun(area_, 0, 1).ok());
   std::vector<char> buf(4096);
-  ASSERT_TRUE(disk_.Read(area_, 0, 1, buf.data()).ok());
+  ASSERT_TRUE(ReadPages(&disk_, area_, 0, 1, buf.data()).ok());
   EXPECT_EQ(buf[0], 'A');
   EXPECT_EQ(buf[99], 'A');
   EXPECT_EQ(buf[100], 'B');
@@ -325,7 +326,7 @@ TEST_F(BufferPoolTest, WriteFreshSegmentIsOneCallAndCoherent) {
   EXPECT_EQ(out[0], 'F');
   // Zero padding beyond the content in the final page.
   std::vector<char> page(4096);
-  ASSERT_TRUE(disk_.Read(area_, 8, 1, page.data()).ok());
+  ASSERT_TRUE(ReadPages(&disk_, area_, 8, 1, page.data()).ok());
   EXPECT_EQ(page[4095], 0);
 }
 
@@ -358,7 +359,7 @@ TEST_F(BufferPoolTest, FlushRunInterleavedCleanAndEvictedPages) {
   for (PageId p : {0u, 1u, 3u, 4u, 6u}) {
     EXPECT_FALSE(pool_.IsDirty(area_, p)) << "page " << p;
     std::vector<char> buf(4096);
-    ASSERT_TRUE(disk_.Read(area_, p, 1, buf.data()).ok());
+    ASSERT_TRUE(ReadPages(&disk_, area_, p, 1, buf.data()).ok());
     EXPECT_EQ(buf[0], static_cast<char>('a' + p)) << "page " << p;
   }
   // A second FlushRun over the same range finds everything clean.

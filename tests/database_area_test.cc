@@ -5,6 +5,7 @@
 
 #include "buddy/database_area.h"
 #include "common/rng.h"
+#include "disk_test_util.h"
 
 namespace lob {
 namespace {
@@ -135,7 +136,7 @@ TEST_F(DatabaseAreaTest, DirectoryPersistedOnFlush) {
   // Read the directory block straight from disk and check the bitmap marks
   // the allocated blocks as used (bit=1 means free).
   std::vector<char> dir(4096);
-  ASSERT_TRUE(disk_->Read(area_id_, 0, 1, dir.data()).ok());
+  ASSERT_TRUE(ReadPages(disk_.get(), area_id_, 0, 1, dir.data()).ok());
   const uint32_t b0 = seg->first_page - 1;  // block index within space
   for (uint32_t b = b0; b < b0 + 8; ++b) {
     EXPECT_EQ((dir[b / 8] >> (b % 8)) & 1, 0) << "block " << b;

@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "core/database.h"
+#include "disk_test_util.h"
 #include "iomodel/disk_image.h"
 
 namespace lob {
@@ -112,9 +113,9 @@ TEST(DiskImageTest, RoundTripsPages) {
     AreaId a = disk.CreateArea();
     AreaId b = disk.CreateArea();
     std::string page(4096, 'A');
-    ASSERT_TRUE(disk.Write(a, 3, 1, page.data()).ok());
+    ASSERT_TRUE(WritePages(&disk, a, 3, 1, page.data()).ok());
     page.assign(4096, 'B');
-    ASSERT_TRUE(disk.Write(b, 7, 1, page.data()).ok());
+    ASSERT_TRUE(WritePages(&disk, b, 7, 1, page.data()).ok());
     ASSERT_TRUE(SaveDiskImage(disk, path).ok());
   }
   SimDisk loaded(cfg);
@@ -188,14 +189,14 @@ TEST(DatabaseTest, DuplicateNameRollbackSurvivesInjectedFailure) {
   // rollback error), and the database must keep working once the fault
   // clears. Sweep the fault depth so the failure lands at every point of
   // the create/bind/rollback sequence at least once.
-  for (int64_t depth = 0; depth < 12; ++depth) {
+  for (uint64_t depth = 0; depth < 12; ++depth) {
     auto db = Database::Create();
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE((*db)->CreateObject("x", Engine::kEos).ok());
-    (*db)->sys()->disk()->InjectFailureAfter(depth);
+    (*db)->sys()->disk()->ArmFault(StickyFaultAfter(depth));
     auto dup = (*db)->CreateObject("x", Engine::kEsm);
     EXPECT_FALSE(dup.ok()) << "depth " << depth;
-    (*db)->sys()->disk()->InjectFailureAfter(-1);
+    (*db)->sys()->disk()->ClearFaults();
     // The database stays usable: the original binding is intact and new
     // names can still be created.
     auto found = (*db)->Lookup("x");

@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "core/factory.h"
 #include "core/storage_system.h"
+#include "disk_test_util.h"
 
 namespace lob {
 namespace {
@@ -50,13 +51,13 @@ class FailureInjectionTest : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(FailureInjectionTest, ReadFailurePropagates) {
-  sys_.disk()->InjectFailureAfter(0);
+  sys_.disk()->ArmFault(StickyFaultAfter(0));
   std::string out;
   Status s = mgr_->Read(id_, 100000, 50000, &out);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInternal);
   // Clearing the fault restores full function.
-  sys_.disk()->InjectFailureAfter(-1);
+  sys_.disk()->ClearFaults();
   ASSERT_TRUE(mgr_->Read(id_, 100000, 50000, &out).ok());
   EXPECT_EQ(out, Pattern(1, 300000).substr(100000, 50000));
 }
@@ -64,9 +65,9 @@ TEST_P(FailureInjectionTest, ReadFailurePropagates) {
 TEST_P(FailureInjectionTest, EveryOperationSurfacesMidOpFailures) {
   // Trip the fault at several depths into each operation; all must return
   // a Status (no crash) and the system must keep working once cleared.
-  for (int64_t depth : {0, 1, 2, 5}) {
+  for (uint64_t depth : {0u, 1u, 2u, 5u}) {
     for (int op = 0; op < 4; ++op) {
-      sys_.disk()->InjectFailureAfter(depth);
+      sys_.disk()->ArmFault(StickyFaultAfter(depth));
       std::string buf = Pattern(7, 20000);
       Status s;
       switch (op) {
@@ -85,7 +86,7 @@ TEST_P(FailureInjectionTest, EveryOperationSurfacesMidOpFailures) {
           break;
         }
       }
-      sys_.disk()->InjectFailureAfter(-1);
+      sys_.disk()->ClearFaults();
       // Depending on caching the operation may complete without I/O; what
       // is forbidden is a crash or a hung state. If it failed, the error
       // must be the injected one.
@@ -96,7 +97,7 @@ TEST_P(FailureInjectionTest, EveryOperationSurfacesMidOpFailures) {
     }
   }
   // After all the chaos the object is still readable end to end.
-  sys_.disk()->InjectFailureAfter(-1);
+  sys_.disk()->ClearFaults();
   auto size = mgr_->Size(id_);
   ASSERT_TRUE(size.ok());
   std::string out;
@@ -107,9 +108,9 @@ TEST_P(FailureInjectionTest, FailedAppendDoesNotLoseExistingBytes) {
   // Appends only touch the object's tail; a failed append must leave the
   // prefix intact.
   const std::string before = Pattern(1, 300000);
-  sys_.disk()->InjectFailureAfter(1);
+  sys_.disk()->ArmFault(StickyFaultAfter(1));
   (void)mgr_->Append(id_, Pattern(9, 100000));
-  sys_.disk()->InjectFailureAfter(-1);
+  sys_.disk()->ClearFaults();
   std::string out;
   ASSERT_TRUE(mgr_->Read(id_, 0, before.size(), &out).ok());
   EXPECT_EQ(out, before);

@@ -11,6 +11,7 @@
 
 #include "common/logging.h"
 #include "core/storage_system.h"
+#include "disk_test_util.h"
 #include "iomodel/fault_model.h"
 #include "iomodel/sim_disk.h"
 
@@ -25,10 +26,10 @@ class FaultModelTest : public ::testing::Test {
   }
 
   Status WritePage(PageId page, uint32_t n_pages = 1) {
-    return disk_.Write(area_, page, n_pages, buf_.data());
+    return WritePages(&disk_, area_, page, n_pages, buf_.data());
   }
   Status ReadPage(PageId page, uint32_t n_pages = 1) {
-    return disk_.Read(area_, page, n_pages, buf_.data());
+    return ReadPages(&disk_, area_, page, n_pages, buf_.data());
   }
 
   StorageConfig cfg_;
@@ -160,7 +161,7 @@ TEST_F(FaultModelTest, PageRangeFilterMatchesIntersectingCalls) {
   ASSERT_TRUE(WritePage(0, 4).ok()) << "disjoint run below the range";
   ASSERT_TRUE(WritePage(13, 2).ok()) << "disjoint run above the range";
   const AreaId other = disk_.CreateArea();
-  ASSERT_TRUE(disk_.Write(other, 11, 1, buf_.data()).ok())
+  ASSERT_TRUE(WritePages(&disk_, other, 11, 1, buf_.data()).ok())
       << "same pages, different area";
   EXPECT_FALSE(WritePage(8, 4).ok()) << "run [8,12) intersects [10,12]";
 }
@@ -182,19 +183,6 @@ TEST_F(FaultModelTest, SuspendedCallsNeitherFireNorAdvance) {
       << "suspended calls do not advance the foreground clock";
   disk_.ResumeAttribution();
   EXPECT_FALSE(WritePage(1).ok()) << "fault is still due once resumed";
-}
-
-TEST_F(FaultModelTest, LegacyClearRemovesOnlyLegacyFaults) {
-  FaultSpec keep;
-  keep.after_calls = 5;
-  disk_.ArmFault(keep);
-  disk_.InjectFailureAfter(3);
-  EXPECT_EQ(disk_.armed_faults(), 2u);
-  disk_.InjectFailureAfter(-1);
-  EXPECT_EQ(disk_.armed_faults(), 1u)
-      << "ArmFault-armed faults survive the legacy clear";
-  disk_.ClearFaults();
-  EXPECT_EQ(disk_.armed_faults(), 0u);
 }
 
 TEST_F(FaultModelTest, ForegroundCallsCountsSuccessesOnly) {
@@ -250,10 +238,10 @@ TEST(FaultModelSystemTest, UnmeteredSectionIsExemptEndToEnd) {
   sys.disk()->ArmFault(fault);
   {
     StorageSystem::UnmeteredSection unmetered(&sys);
-    EXPECT_TRUE(sys.disk()->Write(area, 0, 1, buf.data()).ok());
-    EXPECT_TRUE(sys.disk()->Read(area, 0, 1, buf.data()).ok());
+    EXPECT_TRUE(WritePages(sys.disk(), area, 0, 1, buf.data()).ok());
+    EXPECT_TRUE(ReadPages(sys.disk(), area, 0, 1, buf.data()).ok());
   }
-  EXPECT_FALSE(sys.disk()->Write(area, 0, 1, buf.data()).ok());
+  EXPECT_FALSE(WritePages(sys.disk(), area, 0, 1, buf.data()).ok());
   sys.disk()->ClearFaults();
 }
 

@@ -8,8 +8,8 @@
 namespace lob {
 
 Status FastBulkRead(SimDisk* disk, AreaId area, PageId first, uint32_t n,
-                    char* dst) {
-  return disk->Read(area, first, n, dst);
+                    PageRef* refs) {
+  return disk->ReadRun(area, first, n, refs);
 }
 
 }  // namespace lob

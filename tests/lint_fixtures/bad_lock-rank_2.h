@@ -16,7 +16,7 @@ namespace lob {
 
 class BadGuard {
  private:
-  Mutex mu_{LockRank::kBufferPool};
+  Mutex mu_{LockRank::kObsRegistry};
   uint64_t hits_ = 0;  // BAD: shared mutable state, no LOB_GUARDED_BY
 };
 

@@ -5,11 +5,11 @@
 
 namespace lob {
 
-Status SnapshotPage(SimDisk* disk, AreaId area, PageId page, char* dst) {
+Status SnapshotPage(SimDisk* disk, AreaId area, PageId page, PageRef* ref) {
   // LOBLINT(attribution): audit-only path, always wrapped in
   // StorageSystem::UnmeteredSection by the single caller, so no attributed
   // cost exists to conserve.
-  return disk->Read(area, page, 1, dst);
+  return disk->ReadRun(area, page, 1, ref);
 }
 
 }  // namespace lob

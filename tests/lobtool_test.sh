@@ -98,7 +98,7 @@ set -e
 # locks: the rank-table dump must list every registered lock in strictly
 # ascending rank order and stay in sync with common/lock_order.h.
 "$LOBTOOL" locks > "$DIR/locks.txt" || fail "locks exit"
-for id in exec.thread_pool exec.campaign buffer.pool obs.registry \
+for id in exec.thread_pool exec.campaign obs.registry \
           trace.session trace.timeline common.log_sink; do
   grep -q "$id" "$DIR/locks.txt" || fail "locks table missing $id"
 done

@@ -11,6 +11,7 @@
 #include "core/factory.h"
 #include "core/metrics_snapshot.h"
 #include "core/storage_system.h"
+#include "disk_test_util.h"
 
 namespace lob {
 namespace {
@@ -128,10 +129,10 @@ TEST(MetricsSnapshotTest, FaultCountersSurfaceInSnapshot) {
   // The very next metered call fires the one-shot fault.
   const AreaId area = sys.disk()->CreateArea();
   std::string page(4096, 'w');
-  EXPECT_FALSE(sys.disk()->Write(area, 0, 1, page.data()).ok());
+  EXPECT_FALSE(WritePages(sys.disk(), area, 0, 1, page.data()).ok());
   // The one-shot is exhausted: the retry succeeds and counts as a
   // foreground call (the fired call itself "never happened").
-  EXPECT_TRUE(sys.disk()->Write(area, 0, 1, page.data()).ok());
+  EXPECT_TRUE(WritePages(sys.disk(), area, 0, 1, page.data()).ok());
   const MetricsSnapshot snap = MetricsSnapshot::Collect(&sys);
   EXPECT_EQ(snap.faults.fired, 1u);
   EXPECT_GT(snap.faults.foreground_calls, 0u);

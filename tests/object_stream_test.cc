@@ -7,6 +7,7 @@
 #include "core/factory.h"
 #include "core/object_stream.h"
 #include "core/storage_system.h"
+#include "disk_test_util.h"
 
 namespace lob {
 namespace {
@@ -136,12 +137,12 @@ TEST_P(ObjectStreamTest, WriterLastStatusIsStickyAcrossFailedFlush) {
   const std::string piece = Pattern(6, 5000);
   ASSERT_TRUE(writer.Write(piece).ok()) << "stays staged, no I/O yet";
 
-  sys_.disk()->InjectFailureAfter(0);
+  sys_.disk()->ArmFault(StickyFaultAfter(0));
   Status failed = writer.Flush();
   EXPECT_FALSE(failed.ok()) << "injected failure must propagate";
   EXPECT_FALSE(writer.last_status().ok())
       << "the failure must be recorded, not just returned";
-  sys_.disk()->InjectFailureAfter(-1);
+  sys_.disk()->ClearFaults();
 
   // The staged bytes were not lost: a retry lands them.
   ASSERT_TRUE(writer.Flush().ok());
@@ -157,11 +158,11 @@ TEST_P(ObjectStreamTest, WriterRecordsFailureFromWriteTriggeredAppend) {
   // inside Write itself; an I/O failure there must surface both as the
   // returned Status and in last_status.
   ObjectWriter writer(mgr_.get(), id_, /*chunk_bytes=*/8 * 1024);
-  sys_.disk()->InjectFailureAfter(0);
+  sys_.disk()->ArmFault(StickyFaultAfter(0));
   Status s = writer.Write(Pattern(7, 16 * 1024));
   EXPECT_FALSE(s.ok());
   EXPECT_FALSE(writer.last_status().ok());
-  sys_.disk()->InjectFailureAfter(-1);
+  sys_.disk()->ClearFaults();
 }
 
 TEST_P(ObjectStreamTest, WriterDoubleFaultPreservesFirstError) {

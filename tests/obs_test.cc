@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "core/factory.h"
 #include "core/storage_system.h"
+#include "disk_test_util.h"
 #include "obs/obs_registry.h"
 #include "obs/op_scope.h"
 
@@ -330,13 +331,13 @@ TEST(OpScopeTest, NestedScopesComposeChildLabels) {
   std::string page(cfg.page_size, 'x');
   {
     OpScope outer(&disk, "outer");
-    ASSERT_TRUE(disk.Write(area, 0, 1, page.data()).ok());
+    ASSERT_TRUE(WritePages(&disk, area, 0, 1, page.data()).ok());
     {
       OpScope inner(&disk, "inner");
       EXPECT_STREQ(inner.label(), "outer.inner");
-      ASSERT_TRUE(disk.Write(area, 1, 1, page.data()).ok());
+      ASSERT_TRUE(WritePages(&disk, area, 1, 1, page.data()).ok());
     }
-    ASSERT_TRUE(disk.Write(area, 2, 1, page.data()).ok());
+    ASSERT_TRUE(WritePages(&disk, area, 2, 1, page.data()).ok());
   }
   EXPECT_EQ(obs.ops().at("outer").io.write_calls, 2u);
   EXPECT_EQ(obs.ops().at("outer.inner").io.write_calls, 1u);
@@ -359,7 +360,7 @@ TEST(OpScopeTest, DeepNestingComposesEveryLevel) {
     OpScope b(&disk, "b");
     OpScope c(&disk, "c");
     EXPECT_STREQ(c.label(), "a.b.c");
-    ASSERT_TRUE(disk.Write(area, 0, 1, page.data()).ok());
+    ASSERT_TRUE(WritePages(&disk, area, 0, 1, page.data()).ok());
   }
   EXPECT_EQ(obs.ops().at("a.b.c").io.write_calls, 1u);
   // Sibling scopes after the nested one re-compose from the parent, not
@@ -380,7 +381,7 @@ TEST(OpScopeTest, IoOutsideAnyScopeIsUnattributed) {
   disk.set_obs(&obs);
   const AreaId area = disk.CreateArea();
   std::string page(cfg.page_size, 'x');
-  ASSERT_TRUE(disk.Write(area, 0, 1, page.data()).ok());
+  ASSERT_TRUE(WritePages(&disk, area, 0, 1, page.data()).ok());
   ASSERT_EQ(obs.ops().count(ObsRegistry::kUnattributed), 1u);
   EXPECT_EQ(obs.ops().at(ObsRegistry::kUnattributed).io.write_calls, 1u);
   EXPECT_TRUE(obs.ConservationHolds(disk.stats()));
@@ -393,13 +394,13 @@ TEST(OpScopeTest, ResetStatsResetsAttributionLedgerToo) {
   disk.set_obs(&obs);
   const AreaId area = disk.CreateArea();
   std::string page(cfg.page_size, 'x');
-  ASSERT_TRUE(disk.Write(area, 0, 1, page.data()).ok());
+  ASSERT_TRUE(WritePages(&disk, area, 0, 1, page.data()).ok());
   ASSERT_FALSE(obs.ops().empty());
   disk.ResetStats();
   EXPECT_TRUE(obs.ops().empty());
   EXPECT_TRUE(obs.ConservationHolds(disk.stats()));
   // Conservation keeps holding for I/O issued after the reset.
-  ASSERT_TRUE(disk.Write(area, 1, 1, page.data()).ok());
+  ASSERT_TRUE(WritePages(&disk, area, 1, 1, page.data()).ok());
   EXPECT_TRUE(obs.ConservationHolds(disk.stats()));
 }
 

@@ -3,6 +3,7 @@
 #include "buffer/op_context.h"
 
 #include "common/logging.h"
+#include "disk_test_util.h"
 #include "iomodel/sim_disk.h"
 
 namespace lob {
@@ -97,9 +98,9 @@ TEST_F(OpContextTest, FailedFinishClearsDeferredState) {
   OpContext ctx(&pool_);
   StageDirty(0, 'a');
   ctx.DeferFlush(area_, 0, 1);
-  disk_.InjectFailureAfter(0);
+  disk_.ArmFault(StickyFaultAfter(0));
   EXPECT_FALSE(ctx.Finish().ok()) << "injected I/O failure must propagate";
-  disk_.InjectFailureAfter(-1);
+  disk_.ClearFaults();
   EXPECT_FALSE(ctx.has_pending())
       << "a failed Finish must still clear the context";
 
@@ -119,9 +120,9 @@ TEST_F(OpContextTest, FailedFinishClearsShadowMarks) {
   StageDirty(0, 'a');
   ctx.DeferFlush(area_, 0, 1);
   ctx.NoteShadowed(area_, 3);
-  disk_.InjectFailureAfter(0);
+  disk_.ArmFault(StickyFaultAfter(0));
   ASSERT_FALSE(ctx.Finish().ok());
-  disk_.InjectFailureAfter(-1);
+  disk_.ClearFaults();
   EXPECT_FALSE(ctx.AlreadyShadowed(area_, 3))
       << "the next operation must be allowed to shadow the page again";
 }
@@ -134,11 +135,19 @@ TEST_F(OpContextTest, FinishAttemptsRemainingRangesAfterFailure) {
   StageDirty(5, 'b');
   ctx.DeferFlush(area_, 0, 1);
   ctx.DeferFlush(area_, 5, 1);
-  disk_.InjectFailureAfter(1);  // first flush fails, second succeeds
+  FaultSpec first_flush;
+  first_flush.kind = FaultKind::kOneShot;
+  first_flush.after_calls = 0;  // the first range fails, the second may not
+  disk_.ArmFault(first_flush);
   EXPECT_FALSE(ctx.Finish().ok());
-  disk_.InjectFailureAfter(-1);
+  disk_.ClearFaults();
   EXPECT_EQ(disk_.stats().write_calls, 1u)
       << "the second range still flushed after the first failed";
+  EXPECT_EQ(disk_.PeekPage(area_, 0), nullptr)
+      << "the failed range never reached the disk";
+  ASSERT_NE(disk_.PeekPage(area_, 5), nullptr)
+      << "the range after the failure was not flushed";
+  EXPECT_EQ(disk_.PeekPage(area_, 5)[0], 'b');
 }
 
 TEST_F(OpContextTest, DoubleFaultPreservesFirstErrorAndClearsState) {

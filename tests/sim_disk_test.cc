@@ -13,18 +13,22 @@ StorageConfig TestConfig() { return StorageConfig{}; }
 TEST(SimDiskTest, RoundTripSinglePage) {
   SimDisk disk(TestConfig());
   AreaId a = disk.CreateArea();
-  std::vector<char> out(4096, 'x'), in(4096);
-  ASSERT_TRUE(disk.Write(a, 5, 1, out.data()).ok());
-  ASSERT_TRUE(disk.Read(a, 5, 1, in.data()).ok());
-  EXPECT_EQ(std::memcmp(out.data(), in.data(), 4096), 0);
+  std::vector<char> out(4096, 'x');
+  const char* src = out.data();
+  ASSERT_TRUE(disk.WriteRun(a, 5, 1, &src).ok());
+  PageRef ref;
+  ASSERT_TRUE(disk.ReadRun(a, 5, 1, &ref).ok());
+  ASSERT_NE(ref.data, nullptr);
+  EXPECT_EQ(std::memcmp(out.data(), ref.data, 4096), 0);
 }
 
 TEST(SimDiskTest, UnwrittenPagesReadAsZeros) {
   SimDisk disk(TestConfig());
   AreaId a = disk.CreateArea();
-  std::vector<char> in(4096, 'x');
-  ASSERT_TRUE(disk.Read(a, 99, 1, in.data()).ok());
-  for (char c : in) EXPECT_EQ(c, 0);
+  PageRef ref;
+  ref.data = "stale";
+  ASSERT_TRUE(disk.ReadRun(a, 99, 1, &ref).ok());
+  EXPECT_EQ(ref.data, nullptr);  // never written: reads as zeros
 }
 
 TEST(SimDiskTest, MultiPageCallMovesAllPages) {
@@ -34,10 +38,14 @@ TEST(SimDiskTest, MultiPageCallMovesAllPages) {
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = static_cast<char>(i % 251);
   }
-  ASSERT_TRUE(disk.Write(a, 10, 3, out.data()).ok());
-  std::vector<char> in(3 * 4096);
-  ASSERT_TRUE(disk.Read(a, 10, 3, in.data()).ok());
-  EXPECT_EQ(out, in);
+  const char* srcs[3] = {out.data(), out.data() + 4096, out.data() + 8192};
+  ASSERT_TRUE(disk.WriteRun(a, 10, 3, srcs).ok());
+  PageRef refs[3];
+  ASSERT_TRUE(disk.ReadRun(a, 10, 3, refs).ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_NE(refs[i].data, nullptr);
+    EXPECT_EQ(std::memcmp(refs[i].data, srcs[i], 4096), 0) << "page " << i;
+  }
 }
 
 TEST(SimDiskTest, CostModelMatchesPaperExample) {
@@ -45,15 +53,15 @@ TEST(SimDiskTest, CostModelMatchesPaperExample) {
   // reading the same blocks with 3 calls costs (33+4)*3 = 111 ms.
   SimDisk disk(TestConfig());
   AreaId a = disk.CreateArea();
-  std::vector<char> buf(3 * 4096);
-  ASSERT_TRUE(disk.Read(a, 0, 3, buf.data()).ok());
+  PageRef refs[3];
+  ASSERT_TRUE(disk.ReadRun(a, 0, 3, refs).ok());
   EXPECT_DOUBLE_EQ(disk.stats().ms, 45.0);
   EXPECT_EQ(disk.stats().read_calls, 1u);
   EXPECT_EQ(disk.stats().pages_read, 3u);
 
   disk.ResetStats();
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(disk.Read(a, static_cast<PageId>(i), 1, buf.data()).ok());
+    ASSERT_TRUE(disk.ReadRun(a, static_cast<PageId>(i), 1, refs).ok());
   }
   EXPECT_DOUBLE_EQ(disk.stats().ms, 111.0);
   EXPECT_EQ(disk.stats().Seeks(), 3u);
@@ -62,8 +70,8 @@ TEST(SimDiskTest, CostModelMatchesPaperExample) {
 TEST(SimDiskTest, WritesAreMeteredLikeReads) {
   SimDisk disk(TestConfig());
   AreaId a = disk.CreateArea();
-  std::vector<char> buf(2 * 4096, 1);
-  ASSERT_TRUE(disk.Write(a, 0, 2, buf.data()).ok());
+  const char* srcs[2] = {nullptr, nullptr};
+  ASSERT_TRUE(disk.WriteRun(a, 0, 2, srcs).ok());
   EXPECT_DOUBLE_EQ(disk.stats().ms, 33.0 + 8.0);
   EXPECT_EQ(disk.stats().write_calls, 1u);
   EXPECT_EQ(disk.stats().pages_written, 2u);
@@ -73,10 +81,11 @@ TEST(SimDiskTest, WritesAreMeteredLikeReads) {
 TEST(SimDiskTest, StatsSnapshotsSubtract) {
   SimDisk disk(TestConfig());
   AreaId a = disk.CreateArea();
-  std::vector<char> buf(4096, 1);
-  ASSERT_TRUE(disk.Write(a, 0, 1, buf.data()).ok());
+  const char* src = nullptr;
+  ASSERT_TRUE(disk.WriteRun(a, 0, 1, &src).ok());
   IoStats before = disk.stats();
-  ASSERT_TRUE(disk.Read(a, 0, 1, buf.data()).ok());
+  PageRef ref;
+  ASSERT_TRUE(disk.ReadRun(a, 0, 1, &ref).ok());
   IoStats delta = disk.stats() - before;
   EXPECT_EQ(delta.read_calls, 1u);
   EXPECT_EQ(delta.write_calls, 0u);
@@ -88,30 +97,38 @@ TEST(SimDiskTest, MultipleAreasAreIndependent) {
   AreaId a = disk.CreateArea();
   AreaId b = disk.CreateArea();
   EXPECT_NE(a, b);
-  std::vector<char> one(4096, 1), two(4096, 2), in(4096);
-  ASSERT_TRUE(disk.Write(a, 0, 1, one.data()).ok());
-  ASSERT_TRUE(disk.Write(b, 0, 1, two.data()).ok());
-  ASSERT_TRUE(disk.Read(a, 0, 1, in.data()).ok());
-  EXPECT_EQ(in[0], 1);
-  ASSERT_TRUE(disk.Read(b, 0, 1, in.data()).ok());
-  EXPECT_EQ(in[0], 2);
+  std::vector<char> one(4096, 1), two(4096, 2);
+  const char* src_one = one.data();
+  const char* src_two = two.data();
+  ASSERT_TRUE(disk.WriteRun(a, 0, 1, &src_one).ok());
+  ASSERT_TRUE(disk.WriteRun(b, 0, 1, &src_two).ok());
+  PageRef ref;
+  ASSERT_TRUE(disk.ReadRun(a, 0, 1, &ref).ok());
+  EXPECT_EQ(ref.data[0], 1);
+  ASSERT_TRUE(disk.ReadRun(b, 0, 1, &ref).ok());
+  EXPECT_EQ(ref.data[0], 2);
 }
 
 TEST(SimDiskTest, RejectsBadArguments) {
   SimDisk disk(TestConfig());
   AreaId a = disk.CreateArea();
-  std::vector<char> buf(4096);
-  EXPECT_FALSE(disk.Read(a + 10, 0, 1, buf.data()).ok());
-  EXPECT_FALSE(disk.Read(a, 0, 0, buf.data()).ok());
-  EXPECT_FALSE(disk.Read(a, kInvalidPage, 1, buf.data()).ok());
+  PageRef ref;
+  const char* src = nullptr;
+  EXPECT_FALSE(disk.ReadRun(a + 10, 0, 1, &ref).ok());
+  EXPECT_FALSE(disk.ReadRun(a, 0, 0, &ref).ok());
+  EXPECT_FALSE(disk.ReadRun(a, kInvalidPage, 1, &ref).ok());
+  EXPECT_FALSE(disk.WriteRun(a + 10, 0, 1, &src).ok());
+  EXPECT_FALSE(disk.WriteRun(a, 0, 0, &src).ok());
+  EXPECT_FALSE(disk.WriteRun(a, kInvalidPage, 1, &src).ok());
+  EXPECT_EQ(disk.stats().Seeks(), 0u) << "rejected calls are not metered";
 }
 
 TEST(SimDiskTest, HighWaterTracksWrites) {
   SimDisk disk(TestConfig());
   AreaId a = disk.CreateArea();
   EXPECT_EQ(disk.AreaHighWater(a), 0u);
-  std::vector<char> buf(4096, 1);
-  ASSERT_TRUE(disk.Write(a, 41, 1, buf.data()).ok());
+  const char* src = nullptr;
+  ASSERT_TRUE(disk.WriteRun(a, 41, 1, &src).ok());
   EXPECT_EQ(disk.AreaHighWater(a), 42u);
 }
 

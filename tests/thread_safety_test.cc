@@ -1,8 +1,9 @@
-// Tests for the ranked synchronization layer (common/lock_order.h) and the
-// latched warn-log sink: the rank table is a contract, out-of-order
-// acquisition aborts (death tests), CondVar keeps the held-rank stack
-// consistent across waits, and LOB_LOG_WARN lines stay untorn under
-// concurrency.
+// Tests for the ranked synchronization layer (common/lock_order.h), the
+// latched warn-log sink and the storage layer's thread confinement: the
+// rank table is a contract, out-of-order acquisition aborts (death tests),
+// CondVar keeps the held-rank stack consistent across waits, LOB_LOG_WARN
+// lines stay untorn under concurrency, and a BufferPool reached from a
+// second thread aborts (death test).
 //
 // The death tests put this binary under the `death` ctest label: gtest
 // death tests fork, which ThreadSanitizer does not support, so TSan runs
@@ -22,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "buffer/buffer_pool.h"
 #include "common/lock_order.h"
 #include "common/logging.h"
 #include "common/thread_annotations.h"
@@ -63,10 +65,10 @@ TEST(LockRankTableTest, LockRankNameResolvesEveryRow) {
 // ------------------------------------------------------ in-order locking
 
 TEST(LockOrderTest, AscendingAcquisitionIsAllowed) {
-  Mutex outer{LockRank::kBufferPool};
+  Mutex outer{LockRank::kCampaign};
   Mutex inner{LockRank::kObsRegistry};
   MutexLock a(&outer);
-  MutexLock b(&inner);  // 30 -> 40: strictly increasing, fine
+  MutexLock b(&inner);  // 20 -> 40: strictly increasing, fine
   outer.AssertHeld();
   inner.AssertHeld();
 }
@@ -91,23 +93,10 @@ TEST(LockOrderTest, TryLockFailureLeavesStackIntact) {
     // Another thread's try-lock fails (we hold it) and must not record a
     // phantom held entry; a subsequent in-order acquire still works.
     EXPECT_FALSE(mu.TryLock());
-    Mutex later{LockRank::kBufferPool};
+    Mutex later{LockRank::kObsRegistry};
     MutexLock inner(&later);
   });
   contender.join();
-}
-
-TEST(LockOrderTest, SharedMutexObeysRanksForReadersAndWriters) {
-  SharedMutex rw{LockRank::kBufferPool};
-  Mutex inner{LockRank::kTraceSession};
-  {
-    ReaderMutexLock r(&rw);
-    MutexLock i(&inner);  // 30 (shared) -> 50: fine
-  }
-  {
-    WriterMutexLock w(&rw);
-    MutexLock i(&inner);
-  }
 }
 
 TEST(LockOrderTest, HandOverHandReleaseOutOfLifoOrder) {
@@ -125,8 +114,6 @@ TEST(LockOrderTest, HandOverHandReleaseOutOfLifoOrder) {
 TEST(LockOrderTest, RankAccessorReturnsConstructionRank) {
   Mutex mu{LockRank::kLogSink};
   EXPECT_EQ(mu.rank(), LockRank::kLogSink);
-  SharedMutex rw{LockRank::kBufferPool};
-  EXPECT_EQ(rw.rank(), LockRank::kBufferPool);
 }
 
 // ------------------------------------------------------------ cond vars
@@ -147,7 +134,7 @@ TEST(CondVarTest, HandshakeAndHeldStackSurviveWait) {
     mu.AssertHeld();
     // And the order checker must still see rank 20 as held: acquiring a
     // lower rank here would abort, a higher one is fine.
-    Mutex inner{LockRank::kBufferPool};
+    Mutex inner{LockRank::kObsRegistry};
     MutexLock i(&inner);
   }
   producer.join();
@@ -160,14 +147,14 @@ using LockOrderDeathTest = ::testing::Test;
 TEST(LockOrderDeathTest, DescendingAcquisitionAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Mutex outer{LockRank::kObsRegistry};
-  Mutex inner{LockRank::kBufferPool};
+  Mutex inner{LockRank::kCampaign};
   EXPECT_DEATH(
       {
         MutexLock a(&outer);
-        MutexLock b(&inner);  // 40 -> 30: inversion
+        MutexLock b(&inner);  // 40 -> 20: inversion
       },
-      "lock-order violation: acquiring \"buffer.pool\" \\(rank 30\\) while "
-      "holding \"obs.registry\" \\(rank 40\\)");
+      "lock-order violation: acquiring \"exec.campaign\" \\(rank 20\\) "
+      "while holding \"obs.registry\" \\(rank 40\\)");
 }
 
 TEST(LockOrderDeathTest, EqualRankNestingAborts) {
@@ -196,15 +183,15 @@ TEST(LockOrderDeathTest, OutOfOrderTryLockAborts) {
 
 TEST(LockOrderDeathTest, AssertHeldAbortsWhenNotHeld) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex mu{LockRank::kBufferPool};
+  Mutex mu{LockRank::kObsRegistry};
   EXPECT_DEATH(mu.AssertHeld(),
-               "Mutex::AssertHeld: \"buffer.pool\" \\(rank 30\\) is not "
+               "Mutex::AssertHeld: \"obs.registry\" \\(rank 40\\) is not "
                "held by this thread");
 }
 
 TEST(LockOrderDeathTest, UnlockOfUnheldMutexAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex mu{LockRank::kBufferPool};
+  Mutex mu{LockRank::kObsRegistry};
   EXPECT_DEATH(mu.Unlock(),
                "lock-order: unlock of a mutex this thread does not hold");
 }
@@ -284,21 +271,21 @@ TEST(LogSinkTest, WarnWhileHoldingEveryOtherRankIsLegal) {
   // kLogSink is the innermost rank precisely so any subsystem can warn
   // while holding its own lock; prove the composition for the deepest
   // legal chain.
-  Mutex pool{LockRank::kBufferPool};
+  Mutex campaign{LockRank::kCampaign};
   Mutex obs{LockRank::kObsRegistry};
   Mutex trace{LockRank::kTraceSession};
   const std::string path = ::testing::TempDir() + "/lob_warn_nested.txt";
   {
     StderrCapture capture(path);
-    MutexLock a(&pool);
+    MutexLock a(&campaign);
     MutexLock b(&obs);
     MutexLock c(&trace);
-    LOB_LOG_WARN("warning under ranks 30+40+50");
+    LOB_LOG_WARN("warning under ranks 20+40+50");
   }
   std::ifstream in(path);
   std::stringstream contents;
   contents << in.rdbuf();
-  EXPECT_NE(contents.str().find("warning under ranks 30+40+50"),
+  EXPECT_NE(contents.str().find("warning under ranks 20+40+50"),
             std::string::npos);
 }
 
@@ -327,6 +314,32 @@ TEST(ThreadPoolDeathTest, ShutdownFromWorkerThreadAborts) {
         pool.Submit([&pool] { pool.Shutdown(); }).get();
       },
       "self-join");
+}
+
+// ------------------------------------------- storage thread confinement
+
+// A StorageSystem holds no lock: its BufferPool binds to the first thread
+// that mutates it and aborts when a second thread does (see
+// buffer/buffer_pool.h).
+
+TEST(BufferPoolOwnerDeathTest, SecondThreadFixPageAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        StorageConfig cfg;
+        SimDisk disk(cfg);
+        BufferPool pool(&disk, cfg);
+        const AreaId area = disk.CreateArea();
+        // The first fix binds the pool to this thread.
+        { auto g = pool.FixPage(area, 0, FixMode::kNew); }
+        std::thread other([&] {
+          auto g = pool.FixPage(area, 1, FixMode::kNew);
+          (void)g;
+        });
+        other.join();
+      },
+      "BufferPool owner check: thread [0-9]+ called a pool owned by "
+      "thread [0-9]+");
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include "common/rng.h"
 #include "core/factory.h"
 #include "core/storage_system.h"
+#include "disk_test_util.h"
 #include "exec/parallel_runner.h"
 #include "exec/thread_pool.h"
 #include "obs/obs_registry.h"
@@ -212,14 +213,14 @@ TEST(TraceHooksTest, OpScopeOpensOpSpanAndDiskRecordsIo) {
   std::string page(cfg.page_size, 'x');
   {
     OpScope op(&disk, "outer");
-    ASSERT_TRUE(disk.Write(area, 0, 1, page.data()).ok());
+    ASSERT_TRUE(WritePages(&disk, area, 0, 1, page.data()).ok());
     {
       OpScope inner(&disk, "inner");
-      ASSERT_TRUE(disk.Read(area, 0, 1, page.data()).ok());
+      ASSERT_TRUE(ReadPages(&disk, area, 0, 1, page.data()).ok());
     }
   }
   disk.set_trace(nullptr);
-  ASSERT_TRUE(disk.Write(area, 1, 1, page.data()).ok());  // not recorded
+  ASSERT_TRUE(WritePages(&disk, area, 1, 1, page.data()).ok());  // not recorded
 
   ASSERT_EQ(session.events().size(), 4u);
   const auto& ev = session.events();

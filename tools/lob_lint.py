@@ -31,13 +31,13 @@ break them. Rules (stable IDs, see RULES below):
                           would make behavior differ between builds (the
                           zero-cost-off contract is proven byte-for-byte by
                           scripts/check.sh pass 3).
-  LOB004 attribution      Direct SimDisk Read/Write call sites in src/ are
-                          restricted to an allowlist of mediator files whose
-                          callers hold a labeled OpScope (buffer_pool.cc) or
-                          are explicitly outside the metered path
-                          (disk_image.cc persistence). Any new direct call
-                          site would bypass per-operation attribution and
-                          break the conservation invariant
+  LOB004 attribution      Direct SimDisk ReadRun/WriteRun call sites in src/
+                          are restricted to an allowlist of mediator files
+                          whose callers hold a labeled OpScope
+                          (buffer_pool.cc) or are explicitly outside the
+                          metered path (disk_image.cc persistence). Any new
+                          direct call site would bypass per-operation
+                          attribution and break the conservation invariant
                           sum(attributed) == global.
   LOB005 header-hygiene   Headers carry an include guard (#ifndef/#define or
                           #pragma once) and never `using namespace` at file
@@ -61,7 +61,7 @@ break them. Rules (stable IDs, see RULES below):
                           CondVar (common/lock_order.h) so every acquisition
                           carries a LockRank, is order-checked at run time,
                           and is visible to Clang -Wthread-safety.
-  LOB009 lock-rank        Every lob::Mutex / SharedMutex declaration names
+  LOB009 lock-rank        Every lob::Mutex declaration names
                           its rank (LockRank::k...) from the table in
                           common/lock_order.h, and mutable members of a
                           mutex-holding class carry LOB_GUARDED_BY /
@@ -127,9 +127,10 @@ EXPORTER_FILES = (
     "src/core/metrics_snapshot.cc",
 )
 
-# Direct SimDisk Read/Write mediators. buffer_pool.cc is charged through the
-# OpScope its manager callers hold; disk_image.cc is the persistence path
-# (save/load walks outside the measured workload); sim_disk.cc is the device.
+# Direct SimDisk ReadRun/WriteRun mediators. buffer_pool.cc is charged
+# through the OpScope its manager callers hold; disk_image.cc is the
+# persistence path (save/load walks outside the measured workload);
+# sim_disk.cc is the device.
 ATTRIBUTION_ALLOW = (
     "src/iomodel/sim_disk.cc",
     "src/iomodel/sim_disk.h",
@@ -439,7 +440,7 @@ def check_trace_span(path, code, findings):
 
 
 DISK_IO_RE = re.compile(
-    r"\bdisk\w*\s*(?:\(\s*\))?\s*(?:\.|->)\s*(?:Read|Write)\s*\(")
+    r"\bdisk\w*\s*(?:\(\s*\))?\s*(?:\.|->)\s*(?:Read|Write)(?:Run)?\s*\(")
 
 
 def check_attribution(path, code, findings):
@@ -451,7 +452,8 @@ def check_attribution(path, code, findings):
         if DISK_IO_RE.search(line):
             findings.append(Finding(
                 path, idx, "attribution",
-                "direct SimDisk Read/Write outside the mediator allowlist; "
+                "direct SimDisk ReadRun/WriteRun outside the mediator "
+                "allowlist; "
                 "route I/O through BufferPool (charged under the caller's "
                 "OpScope) so per-operation attribution stays conserved"))
 
@@ -548,16 +550,16 @@ def check_raw_sync(path, code, findings):
                 "visible to Clang -Wthread-safety" % m.group(1)))
 
 
-# A lob Mutex/SharedMutex variable declaration: type, name, then an
-# initializer bracket or a bare `;`. `MutexLock`, `Mutex*`, `Mutex&` and
-# constructor declarations (`Mutex(` with no name) do not match.
-MUTEX_DECL_RE = re.compile(r"\b(Mutex|SharedMutex)\s+(\w+)\s*[({;]")
+# A lob Mutex variable declaration: type, name, then an initializer
+# bracket or a bare `;`. `MutexLock`, `Mutex*`, `Mutex&` and constructor
+# declarations (`Mutex(` with no name) do not match.
+MUTEX_DECL_RE = re.compile(r"\b(Mutex)\s+(\w+)\s*[({;]")
 # A data member with the project's trailing-underscore naming, terminated
 # by `;`, `=` or a brace initializer.
 MEMBER_RE = re.compile(r"\b([A-Za-z]\w*_)\s*(?:;|=[^=]|\{)")
 MEMBER_EXEMPT_RE = re.compile(
     r"\b(const|static|constexpr|friend|using|typedef|return|"
-    r"Mutex|SharedMutex|CondVar)\b")
+    r"Mutex|CondVar)\b")
 
 
 def _line_start_depths(code):

@@ -5,8 +5,9 @@
 #  2. TSan (-DLOB_SANITIZE=thread): the FULL test suite minus the `death`
 #     label — gtest death tests fork(), which TSan cannot follow; every
 #     other test (including the fault campaign, bench/trace determinism
-#     gates, the thread-confined storage layer and the latched
-#     ObsRegistry/TraceSession paths) runs under the race detector.
+#     gates, the thread-confined storage layer and the lock-free,
+#     job-owned obs/trace/timeline recorders) runs under the race
+#     detector.
 #  3. Zero-overhead proof (-DLOB_TRACING=OFF): with tracing compiled out,
 #     a bench run must produce byte-identical output to the tracing-ON
 #     build — the hooks are free when the feature is off.

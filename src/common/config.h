@@ -54,14 +54,6 @@ struct StorageConfig {
   /// off to force the historical always-copy behavior.
   bool pool_zero_copy = true;
 
-  /// High-resolution tail quantiles: per-op `.ms` histograms add 16
-  /// linear sub-buckets per log2 bucket (Histogram::EnableSubBuckets),
-  /// tightening p99 interpolation error from ~bucket-width to
-  /// ~bucket-width/16. Off by default: the coarse log2 quantiles are
-  /// deterministic and usually adequate, and the sub-bucket table costs
-  /// 34*16 counters per label.
-  bool obs_high_res_quantiles = false;
-
   /// Transfer cost of one page in milliseconds.
   double PageTransferMs() const {
     return static_cast<double>(page_size) / 1024.0 / transfer_kb_per_ms;

@@ -8,13 +8,12 @@ namespace lob::internal {
 
 namespace {
 
-/// The warn-log sink mutex. Rank kLogSink is the table maximum: any code
-/// path — including BufferPool eviction or SimDisk attribution running
-/// under their own locks — may emit a warning without inverting the rank
-/// order. Constant-initialized (constexpr ctor), so warnings from static
-/// initializers are safe too.
+/// The warn-log sink mutex, a leaf lock like every lob::Mutex: the
+/// storage layer and the recorders hold no lock, so they may warn from
+/// anywhere. Constant-initialized (constexpr ctor), so warnings from
+/// static initializers are safe too.
 Mutex& LogSinkMutex() {
-  static Mutex mu(LockRank::kLogSink);
+  static Mutex mu;
   return mu;
 }
 

@@ -21,11 +21,11 @@ namespace lob::internal {
 /// Serializes warning lines: the parallel experiment engine runs one
 /// bench cell per worker thread, and interleaved fprintf fragments from
 /// concurrent warnings would be unreadable (and flagged by TSan on some
-/// libc builds). Implemented in logging.cc behind an annotated
-/// lob::Mutex at LockRank::kLogSink — the innermost rank, so a warning
-/// can be emitted while holding any other lock in the tree. (This header
-/// deliberately does not include lock_order.h: lock_order.h uses
-/// LOB_CHECK-style aborts, so the sink mutex lives out of line.)
+/// libc builds). Implemented in logging.cc behind an annotated leaf
+/// lob::Mutex, so a warning must not be emitted while holding another
+/// lob::Mutex (none of the three locked sites warns under its lock).
+/// (This header deliberately does not include lock_order.h: lock_order.h
+/// uses LOB_CHECK-style aborts, so the sink mutex lives out of line.)
 #if defined(__GNUC__)
 __attribute__((format(printf, 3, 4)))
 #endif

@@ -4,7 +4,6 @@ namespace lob {
 
 StorageSystem::StorageSystem(const StorageConfig& config) : config_(config) {
   obs_ = std::make_unique<ObsRegistry>();
-  obs_->set_high_res_op_histograms(config_.obs_high_res_quantiles);
   disk_ = std::make_unique<SimDisk>(config_);
   disk_->set_obs(obs_.get());
   pool_ = std::make_unique<BufferPool>(disk_.get(), config_);

@@ -255,11 +255,10 @@ StatusOr<CampaignResult> RunCampaign(const Trace& trace,
   ThreadPool pool(options.jobs == 0 ? 1 : options.jobs);
   ParallelRunner runner(&pool);
   // Opt-in progress meter: the one piece of state the cell workers share.
-  // Guarded by an annotated Mutex at LockRank::kCampaign; cells hold no
-  // other lock when they finish, so the rank never composes with the
-  // storage-layer ranks inside RunCell (each cell owns a private system).
+  // Guarded by a leaf Mutex: a worker takes it between cells, holding no
+  // other lock (each cell owns a private, lock-free system).
   struct Progress {
-    Mutex mu{LockRank::kCampaign};
+    Mutex mu;
     size_t done LOB_GUARDED_BY(mu) = 0;
   } progress;
   const size_t total = points.size();

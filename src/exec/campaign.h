@@ -40,8 +40,8 @@ struct CampaignOptions {
   uint32_t stride = 1;
 
   /// When set, workers report "campaign: <done>/<total> cells" on stderr
-  /// as cells finish, through a latched shared counter
-  /// (LockRank::kCampaign). Off by default: completion order is
+  /// as cells finish, through a shared counter behind a leaf
+  /// lob::Mutex. Off by default: completion order is
   /// wall-clock-dependent, so progress stays off the deterministic
   /// stdout formats and off by default for byte-compare runs.
   bool progress = false;

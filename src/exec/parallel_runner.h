@@ -41,8 +41,8 @@ namespace lob {
 /// one worker running that job, and read by the submitting thread strictly
 /// after the job's future resolves — the future's release/acquire edge
 /// orders the accesses. It must never be shared across jobs; shared
-/// cross-worker state belongs behind an annotated Mutex with a rank
-/// (see campaign.cc's progress counter for the pattern).
+/// cross-worker state belongs behind an annotated leaf Mutex (see
+/// campaign.cc's progress counter for the pattern).
 class JobOutput {
  public:
   /// printf into the buffer.

@@ -87,14 +87,16 @@ class ThreadPool {
   [[noreturn]] static void DieSubmitAfterShutdown();
 
   const unsigned workers_;
-  // LOBLINT(lock-rank): owner-thread confined — written only by the
+  // LOBLINT(guarded-by): owner-thread confined — written only by the
   // constructor and joined by Shutdown; workers never touch it.
   std::vector<std::thread> threads_;
-  Mutex mu_{LockRank::kThreadPool};
+  /// Leaf lock: never held while a task body runs, so a task may take
+  /// any other lob::Mutex (the log sink, the campaign counter).
+  Mutex mu_;
   std::deque<std::function<void()>> queue_ LOB_GUARDED_BY(mu_);
   CondVar cv_;
   bool stop_ LOB_GUARDED_BY(mu_) = false;
-  bool joined_ = false;  // LOBLINT(lock-rank): owner-thread confined
+  bool joined_ = false;  // LOBLINT(guarded-by): owner-thread confined
 };
 
 }  // namespace lob

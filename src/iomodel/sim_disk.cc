@@ -101,7 +101,7 @@ void SimDisk::AccountCall(bool is_read, uint32_t n_pages) {
             current_op_ != nullptr ? current_op_ : ObsRegistry::kUnattributed);
         attr_gen_ = obs_->attribution_generation();
       }
-      obs_->AttributeTo(static_cast<ObsRegistry::OpRecord*>(attr_rec_), call);
+      static_cast<ObsRegistry::OpRecord*>(attr_rec_)->io += call;
     }
 #if LOB_TRACING
     if (trace_ != nullptr) {

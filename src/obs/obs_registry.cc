@@ -35,31 +35,11 @@ void AppendF(std::string* out, const char* fmt, ...) {
 }  // namespace
 
 void Histogram::Add(uint64_t value) {
-  const int b = BucketIndex(value);
-  buckets_[b]++;
+  buckets_[BucketIndex(value)]++;
   count_++;
   sum_ += value;
   if (value < min_) min_ = value;
   if (value > max_) max_ = value;
-  if (!sub_.empty()) {
-    int j = 0;
-    if (b > 0) {
-      // Bucket b >= 1 spans [2^(b-1), 2^b), i.e. width == its lower
-      // bound. Double math avoids (value - lo) * kSubBuckets overflow in
-      // the top catch-all bucket; values beyond the nominal width clamp
-      // into the last sub-bucket.
-      const uint64_t lo = BucketLowerBound(b);
-      j = static_cast<int>(static_cast<double>(value - lo) /
-                           static_cast<double>(lo) * kSubBuckets);
-      if (j >= kSubBuckets) j = kSubBuckets - 1;
-    }
-    sub_[static_cast<size_t>(b) * kSubBuckets + static_cast<size_t>(j)]++;
-  }
-}
-
-void Histogram::EnableSubBuckets() {
-  if (!sub_.empty() || count_ > 0) return;
-  sub_.assign(static_cast<size_t>(kBuckets) * kSubBuckets, 0);
 }
 
 double Histogram::Quantile(double q) const {
@@ -72,34 +52,13 @@ double Histogram::Quantile(double q) const {
     const uint64_t n = buckets_[i];
     if (n == 0) continue;
     if (target < static_cast<double>(cum) + static_cast<double>(n)) {
-      double lo = static_cast<double>(BucketLowerBound(i));
-      double hi = i == 0 ? 1.0
-                  : i == kBuckets - 1
-                      ? static_cast<double>(max_) + 1.0
-                      : static_cast<double>(uint64_t{1} << i);
-      double pos = target - static_cast<double>(cum);
-      double in_range = static_cast<double>(n);
-      // The top catch-all bucket's sub-bucket geometry (nominal doubling
-      // width) does not match its actual [2^32, max] extent, so the
-      // narrowing is skipped there.
-      if (!sub_.empty() && i > 0 && i < kBuckets - 1) {
-        const double width = (hi - lo) / kSubBuckets;
-        uint64_t cum2 = 0;
-        for (int j = 0; j < kSubBuckets; ++j) {
-          const uint64_t m =
-              sub_[static_cast<size_t>(i) * kSubBuckets + static_cast<size_t>(j)];
-          if (m == 0) continue;
-          if (pos < static_cast<double>(cum2) + static_cast<double>(m)) {
-            lo += width * j;
-            hi = lo + width;
-            pos -= static_cast<double>(cum2);
-            in_range = static_cast<double>(m);
-            break;
-          }
-          cum2 += m;
-        }
-      }
-      double v = lo + (hi - lo) * (pos / in_range);
+      const double lo = static_cast<double>(BucketLowerBound(i));
+      const double hi = i == 0 ? 1.0
+                        : i == kBuckets - 1
+                            ? static_cast<double>(max_) + 1.0
+                            : static_cast<double>(uint64_t{1} << i);
+      const double pos = target - static_cast<double>(cum);
+      double v = lo + (hi - lo) * (pos / static_cast<double>(n));
       if (v < static_cast<double>(min_)) v = static_cast<double>(min_);
       if (v > static_cast<double>(max_)) v = static_cast<double>(max_);
       return v;
@@ -110,13 +69,6 @@ double Histogram::Quantile(double q) const {
 }
 
 void Histogram::MergeFrom(const Histogram& other) {
-  if (!other.sub_.empty() && sub_.empty() && count_ == 0) {
-    sub_ = other.sub_;
-  } else if (!sub_.empty() && !other.sub_.empty()) {
-    for (size_t i = 0; i < sub_.size(); ++i) sub_[i] += other.sub_[i];
-  } else if (!sub_.empty() && other.count_ > 0) {
-    sub_.clear();  // coarse-only side: degrade to log2 resolution
-  }
   for (int i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
   count_ += other.count_;
   sum_ += other.sum_;
@@ -143,7 +95,6 @@ uint64_t Histogram::BucketLowerBound(int i) {
 
 void ObsRegistry::RecordOpEnd(const char* label, const IoStats& op_delta,
                               bool record_queue) {
-  MutexLock lock(&mu_);
   // One heterogeneous lookup per op end; the label's ledger record and
   // histogram destinations are resolved (and their name strings built)
   // only the first time the label is seen.
@@ -152,10 +103,9 @@ void ObsRegistry::RecordOpEnd(const char* label, const IoStats& op_delta,
     const std::string base(label);
     OpEndEntry e;
     e.rec = &ops_[base];
-    e.ms = &HistoLocked(base + ".ms");
-    if (high_res_ops_) e.ms->EnableSubBuckets();
-    e.seeks = &HistoLocked(base + ".seeks");
-    e.pages = &HistoLocked(base + ".pages");
+    e.ms = &Histo(base + ".ms");
+    e.seeks = &Histo(base + ".seeks");
+    e.pages = &Histo(base + ".pages");
     it = op_end_memo_.emplace(base, e).first;
   }
   OpEndEntry& e = it->second;
@@ -165,17 +115,13 @@ void ObsRegistry::RecordOpEnd(const char* label, const IoStats& op_delta,
   e.seeks->Add(op_delta.Seeks());
   e.pages->Add(op_delta.PagesTransferred());
   if (record_queue) {
-    if (e.queue == nullptr) {
-      e.queue = &HistoLocked(std::string(label) + ".queue_ms");
-      if (high_res_ops_) e.queue->EnableSubBuckets();
-    }
+    if (e.queue == nullptr) e.queue = &Histo(std::string(label) + ".queue_ms");
     e.queue->Add(static_cast<uint64_t>(
         std::llround(op_delta.queue_ms < 0 ? 0 : op_delta.queue_ms)));
   }
 }
 
 IoStats ObsRegistry::AttributedTotal() const {
-  MutexLock lock(&mu_);
   IoStats total;
   for (const auto& [label, rec] : ops_) total += rec.io;
   return total;
@@ -193,9 +139,6 @@ bool ObsRegistry::ConservationHolds(const IoStats& global) const {
 }
 
 void ObsRegistry::MergeFrom(const ObsRegistry& other) {
-  // Destination latch only; `other` is read bare under the quiesced-source
-  // contract (see the header) since kObsRegistry cannot nest with itself.
-  MutexLock lock(&mu_);
   for (const auto& [label, rec] : other.ops_) {
     OpRecord& mine = ops_[label];
     mine.count += rec.count;
@@ -208,7 +151,6 @@ void ObsRegistry::MergeFrom(const ObsRegistry& other) {
 }
 
 void ObsRegistry::Reset() {
-  MutexLock lock(&mu_);
   ops_.clear();
   counters_.clear();
   histograms_.clear();
@@ -217,7 +159,6 @@ void ObsRegistry::Reset() {
 }
 
 std::string ObsRegistry::ToJson() const {
-  MutexLock lock(&mu_);
   std::string out = "{\n  \"ops\": {";
   bool first = true;
   for (const auto& [label, rec] : ops_) {
@@ -270,7 +211,6 @@ std::string ObsRegistry::ToJson() const {
 }
 
 std::string ObsRegistry::ToCsv() const {
-  MutexLock lock(&mu_);
   std::string out =
       "op,count,read_calls,write_calls,pages_read,pages_written,seeks,pages,"
       "ms\n";

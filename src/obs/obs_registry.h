@@ -24,10 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
-#include "common/lock_order.h"
-#include "common/thread_annotations.h"
 #include "iomodel/io_stats.h"
 
 namespace lob {
@@ -41,10 +38,6 @@ namespace lob {
 class Histogram {
  public:
   static constexpr int kBuckets = 34;  // 0 plus exponents up to 2^32 and over
-  /// Linear sub-buckets per log2 bucket in the opt-in high-resolution
-  /// mode (EnableSubBuckets); tightens quantile interpolation error from
-  /// ~bucket-width to ~bucket-width/16.
-  static constexpr int kSubBuckets = 16;
 
   void Add(uint64_t value);
 
@@ -59,25 +52,14 @@ class Histogram {
   }
   uint64_t bucket(int i) const { return buckets_[i]; }
 
-  /// Opts this histogram into fixed-resolution sub-bucket tracking
-  /// (kSubBuckets linear sub-buckets per log2 bucket). Must be called
-  /// before the first sample; a late call is ignored so existing samples
-  /// can never be inconsistent with the sub-bucket table.
-  void EnableSubBuckets();
-  bool sub_buckets_enabled() const { return !sub_.empty(); }
-
   /// Interpolated quantile, q in [0, 1] (clamped). Uses the continuous
   /// rank q*(count-1); interpolates linearly inside the containing log2
-  /// bucket (or linear sub-bucket when enabled) and clamps the result to
-  /// [min, max], so q=0, q=1 and single-sample histograms are exact.
-  /// Returns 0 on an empty histogram. Deterministic: pure integer/IEEE
-  /// arithmetic over the bucket table.
+  /// bucket and clamps the result to [min, max], so q=0, q=1 and
+  /// single-sample histograms are exact. Returns 0 on an empty histogram.
+  /// Deterministic: pure integer/IEEE arithmetic over the bucket table.
   double Quantile(double q) const;
 
-  /// Adds every sample of `other` into this histogram. Sub-bucket
-  /// resolution survives the merge only when both sides carry it (or one
-  /// side is empty); a coarse-only side degrades the merged histogram to
-  /// log2 resolution.
+  /// Adds every sample of `other` into this histogram.
   void MergeFrom(const Histogram& other);
 
   /// Bucket a value falls into.
@@ -92,19 +74,15 @@ class Histogram {
   uint64_t sum_ = 0;
   uint64_t min_ = UINT64_MAX;
   uint64_t max_ = 0;
-  /// kBuckets * kSubBuckets linear sub-bucket counts; empty = disabled.
-  std::vector<uint64_t> sub_;
 };
 
 /// Named counters, histograms and the per-operation I/O ledger.
 ///
-/// Locking: the mutating entry points used on the measurement path
-/// (AttributeCall/AttributeTo/RecordOpEnd) and the exporters take the
-/// registry latch (LockRank::kObsRegistry). The
-/// reference-returning accessors (Counter, Histo, ops(), ...) are
-/// thread-*compatible*, not thread-safe: they hand out pointers into
-/// guarded maps for single-threaded setup and quiesced export phases, and
-/// are marked LOB_UNLOCKED_ACCESS with that contract.
+/// A registry holds no lock. It belongs to the thread that owns its
+/// StorageSystem (or bench job), like the rest of that system, so the
+/// recording entry points, the reference-returning accessors and the
+/// exporters are all plain member accesses. Registries of different jobs
+/// meet only in MergeFrom, after the jobs have finished.
 class ObsRegistry {
  public:
   /// Label charged for I/O issued outside any OpScope.
@@ -116,63 +94,22 @@ class ObsRegistry {
     IoStats io;          ///< I/O charged to the label by SimDisk
   };
 
-  /// Named monotonic counter (created on first use). Thread-compatible
-  /// accessor: the returned reference escapes the latch, so callers must
-  /// be single-threaded with respect to this registry (setup, per-worker
-  /// registries, quiesced export).
-  uint64_t& Counter(const std::string& name) LOB_UNLOCKED_ACCESS {
-    return counters_[name];
-  }
+  /// Named monotonic counter (created on first use).
+  uint64_t& Counter(const std::string& name) { return counters_[name]; }
 
-  /// When set, per-op `.ms` histograms created from here on opt into
-  /// fixed-resolution sub-buckets (see Histogram::EnableSubBuckets) for
-  /// tighter tail quantiles. Off by default: 34*16 extra counters per
-  /// label are only worth it when percentile precision matters.
-  void set_high_res_op_histograms(bool v) LOB_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    high_res_ops_ = v;
-  }
-  bool high_res_op_histograms() const LOB_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return high_res_ops_;
-  }
-
-  /// Named histogram (created on first use). Thread-compatible accessor —
-  /// same escaping-reference contract as Counter().
-  Histogram& Histo(const std::string& name) LOB_UNLOCKED_ACCESS {
-    return histograms_[name];
-  }
-
-  /// Charges one metered I/O call to `label`. Called by SimDisk.
-  void AttributeCall(const char* label, const IoStats& call)
-      LOB_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    ops_[label].io += call;
-  }
-
-  /// Charges one metered I/O call to a cached ledger record — SimDisk's
-  /// hot path (one latched add per call, no map lookup).
-  void AttributeTo(OpRecord* rec, const IoStats& call) LOB_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    rec->io += call;
-  }
+  /// Named histogram (created on first use).
+  Histogram& Histo(const std::string& name) { return histograms_[name]; }
 
   /// Ledger record for `label` (created on first use). SimDisk caches the
-  /// returned pointer for the duration of an operation so attribution is
-  /// one map lookup per op instead of one per metered call; the pointer is
-  /// map-node-stable until the ledger is reset, which bumps the generation
-  /// below. Charge through AttributeTo, not the raw pointer.
-  OpRecord* AttributionRecord(const char* label) LOB_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return &ops_[label];
-  }
+  /// returned pointer for the duration of an operation and adds each
+  /// metered call to its `io`, so attribution is one map lookup per op
+  /// instead of one per call; the pointer is map-node-stable until the
+  /// ledger is reset, which bumps the generation below.
+  OpRecord* AttributionRecord(const char* label) { return &ops_[label]; }
 
   /// Incremented whenever the ledger is cleared; invalidates cached
   /// AttributionRecord pointers.
-  uint64_t attribution_generation() const LOB_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return attr_gen_;
-  }
+  uint64_t attribution_generation() const { return attr_gen_; }
 
   /// Records the end of one operation: bumps the label's count and feeds
   /// the per-op histograms (<label>.ms / .seeks / .pages). `op_delta` is
@@ -182,35 +119,28 @@ class ObsRegistry {
   /// a <label>.queue_ms histogram — queue-disabled runs create no such
   /// histograms, keeping their export bytes unchanged. Called by OpScope.
   void RecordOpEnd(const char* label, const IoStats& op_delta,
-                   bool record_queue = false) LOB_EXCLUDES(mu_);
+                   bool record_queue = false);
 
-  /// Thread-compatible map views (escaping references; quiesced readers
-  /// only — exporters, tests, post-join aggregation).
-  const std::map<std::string, OpRecord>& ops() const LOB_UNLOCKED_ACCESS {
-    return ops_;
-  }
-  const std::map<std::string, uint64_t>& counters() const
-      LOB_UNLOCKED_ACCESS {
+  const std::map<std::string, OpRecord>& ops() const { return ops_; }
+  const std::map<std::string, uint64_t>& counters() const {
     return counters_;
   }
-  const std::map<std::string, Histogram>& histograms() const
-      LOB_UNLOCKED_ACCESS {
+  const std::map<std::string, Histogram>& histograms() const {
     return histograms_;
   }
 
   /// Sum of attributed I/O over every label (the conservation invariant
   /// compares this against the SimDisk global stats).
-  IoStats AttributedTotal() const LOB_EXCLUDES(mu_);
+  IoStats AttributedTotal() const;
 
   /// True when the attributed total matches `global` exactly (counters) and
   /// within rounding (modeled ms).
-  bool ConservationHolds(const IoStats& global) const LOB_EXCLUDES(mu_);
+  bool ConservationHolds(const IoStats& global) const;
 
   /// Drops the attribution ledger only (SimDisk::ResetStats calls this so
   /// the conservation invariant survives stats resets). Counters and
   /// histograms are kept: they are observability, not conservation state.
-  void ResetAttribution() LOB_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
+  void ResetAttribution() {
     ops_.clear();
     op_end_memo_.clear();
     ++attr_gen_;
@@ -218,28 +148,21 @@ class ObsRegistry {
 
   /// Adds another registry's ledger, counters and histograms into this
   /// one (counts and I/O accumulate; histograms MergeFrom). Used to
-  /// aggregate per-cell registries into one suite-level view.
-  /// Analysis off: `other` must be quiesced (its workers joined) — the
-  /// same-rank kObsRegistry latch cannot be taken twice, so the source
-  /// side is read without locking by contract.
-  void MergeFrom(const ObsRegistry& other) LOB_NO_THREAD_SAFETY_ANALYSIS;
+  /// aggregate per-cell registries into one suite-level view once the
+  /// cells have finished.
+  void MergeFrom(const ObsRegistry& other);
 
   /// Drops everything.
-  void Reset() LOB_EXCLUDES(mu_);
+  void Reset();
 
   /// Exports ops, counters and histograms as a JSON object.
-  std::string ToJson() const LOB_EXCLUDES(mu_);
+  std::string ToJson() const;
 
   /// Exports the per-op ledger as CSV
   /// (label,count,read_calls,write_calls,pages_read,pages_written,seeks,pages,ms).
-  std::string ToCsv() const LOB_EXCLUDES(mu_);
+  std::string ToCsv() const;
 
  private:
-  /// Histo() under the latch (RecordOpEnd resolves label destinations).
-  Histogram& HistoLocked(const std::string& name) LOB_REQUIRES(mu_) {
-    return histograms_[name];
-  }
-
   /// Resolved destinations of one label's RecordOpEnd: the ledger record
   /// plus the three per-op histograms. All pointers are map-node-stable;
   /// the memo is cleared whenever ops_ is (Reset/ResetAttribution).
@@ -250,17 +173,12 @@ class ObsRegistry {
     Histogram* pages = nullptr;
     Histogram* queue = nullptr;  ///< resolved lazily, queue-model runs only
   };
-  using OpEndMemo = std::map<std::string, OpEndEntry, std::less<>>;
 
-  /// Registry latch (LockRank::kObsRegistry); mutable for const
-  /// exporters and generation reads.
-  mutable Mutex mu_{LockRank::kObsRegistry};
-  std::map<std::string, OpRecord> ops_ LOB_GUARDED_BY(mu_);
-  std::map<std::string, uint64_t> counters_ LOB_GUARDED_BY(mu_);
-  std::map<std::string, Histogram> histograms_ LOB_GUARDED_BY(mu_);
-  OpEndMemo op_end_memo_ LOB_GUARDED_BY(mu_);
-  uint64_t attr_gen_ LOB_GUARDED_BY(mu_) = 0;
-  bool high_res_ops_ LOB_GUARDED_BY(mu_) = false;
+  std::map<std::string, OpRecord> ops_;
+  std::map<std::string, uint64_t> counters_;
+  std::map<std::string, Histogram> histograms_;
+  std::map<std::string, OpEndEntry, std::less<>> op_end_memo_;
+  uint64_t attr_gen_ = 0;
 };
 
 }  // namespace lob

@@ -14,7 +14,6 @@ std::string TimelineSampler::CsvHeader() {
 
 void TimelineSampler::AppendCsv(const std::string& label,
                                 std::string* out) const {
-  MutexLock lock(&mu_);
   const std::string escaped = CsvEscape(label);
   for (const TimelineSample& s : samples_) {
     char buf[256];

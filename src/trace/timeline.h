@@ -25,9 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "common/lock_order.h"
-#include "common/thread_annotations.h"
-
 namespace lob {
 
 /// One snapshot of storage state after `ops_done` mix operations.
@@ -48,7 +45,8 @@ struct TimelineSample {
 };
 
 /// Collects samples for one configuration run and exports them as CSV.
-/// Single-threaded, one sampler per bench job (owned like JobOutput).
+/// Holds no lock: one sampler per bench job, owned like JobOutput and
+/// exported by the harness after the fan-out joins.
 class TimelineSampler {
  public:
   /// Samples every `every_n` operations (plus the final op).
@@ -63,29 +61,20 @@ class TimelineSampler {
     return every_n_ > 0 && ops_done % every_n_ == 0;
   }
 
-  void Add(const TimelineSample& sample) LOB_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    samples_.push_back(sample);
-  }
+  void Add(const TimelineSample& sample) { samples_.push_back(sample); }
 
-  /// Thread-compatible accessor (escaping reference; quiesced readers).
-  const std::vector<TimelineSample>& samples() const LOB_UNLOCKED_ACCESS {
-    return samples_;
-  }
+  const std::vector<TimelineSample>& samples() const { return samples_; }
   uint32_t every_n() const { return every_n_; }
 
   /// Column header shared by every timeline CSV file.
   static std::string CsvHeader();
 
   /// Appends one row per sample, tagged with `label` (RFC-4180 escaped).
-  void AppendCsv(const std::string& label, std::string* out) const
-      LOB_EXCLUDES(mu_);
+  void AppendCsv(const std::string& label, std::string* out) const;
 
  private:
-  /// Sampler latch (LockRank::kTimeline); mutable for the const exporter.
-  mutable Mutex mu_{LockRank::kTimeline};
   const uint32_t every_n_;
-  std::vector<TimelineSample> samples_ LOB_GUARDED_BY(mu_);
+  std::vector<TimelineSample> samples_;
 };
 
 }  // namespace lob

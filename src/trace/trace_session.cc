@@ -42,11 +42,6 @@ const char* KindCategory(SpanKind kind) {
 }  // namespace
 
 uint32_t TraceSession::InternName(std::string_view name) {
-  MutexLock lock(&mu_);
-  return InternNameLocked(name);
-}
-
-uint32_t TraceSession::InternNameLocked(std::string_view name) {
   auto it = name_ids_.find(name);
   if (it != name_ids_.end()) return it->second;
   const uint32_t id = static_cast<uint32_t>(names_.size());
@@ -57,9 +52,8 @@ uint32_t TraceSession::InternNameLocked(std::string_view name) {
 
 size_t TraceSession::BeginSpan(std::string_view name, SpanKind kind,
                                double now_ms) {
-  MutexLock lock(&mu_);
   Event e;
-  e.name_id = InternNameLocked(name);
+  e.name_id = InternName(name);
   e.kind = kind;
   e.start_ms = now_ms;
   if (!stack_.empty()) {
@@ -73,7 +67,6 @@ size_t TraceSession::BeginSpan(std::string_view name, SpanKind kind,
 }
 
 void TraceSession::EndSpan(size_t index, double now_ms) {
-  MutexLock lock(&mu_);
   LOB_CHECK(!stack_.empty());
   // Spans are RAII scopes, so closes arrive strictly LIFO.
   LOB_CHECK_EQ(stack_.back(), index);
@@ -85,8 +78,7 @@ void TraceSession::EndSpan(size_t index, double now_ms) {
 
 void TraceSession::RecordIo(bool is_read, uint32_t pages, double start_ms,
                             double dur_ms) {
-  MutexLock lock(&mu_);
-  if (io_name_id_ == UINT32_MAX) io_name_id_ = InternNameLocked("disk.io");
+  if (io_name_id_ == UINT32_MAX) io_name_id_ = InternName("disk.io");
   Event e;
   e.name_id = io_name_id_;
   e.kind = SpanKind::kIo;
@@ -102,7 +94,6 @@ void TraceSession::RecordIo(bool is_read, uint32_t pages, double start_ms,
 }
 
 std::map<std::string, double> TraceSession::IoMsByOp() const {
-  MutexLock lock(&mu_);
   std::map<std::string, double> by_op;
   for (const Event& e : events_) {
     if (e.kind != SpanKind::kIo) continue;
@@ -121,7 +112,6 @@ std::map<std::string, double> TraceSession::IoMsByOp() const {
 void TraceSession::AppendChromeTraceEvents(std::string* out, int pid,
                                            const std::string& process_name,
                                            bool* first) const {
-  MutexLock lock(&mu_);
   auto sep = [&] {
     if (!*first) out->append(",\n");
     *first = false;
@@ -164,7 +154,6 @@ std::string TraceSession::ChromeTraceJson(
 }
 
 TraceSession::SummaryNode TraceSession::Summarize() const {
-  MutexLock lock(&mu_);
   SummaryNode root;
   // node_of[i] points at the summary node event i was merged into; events
   // are ordered so parents precede children.

@@ -20,8 +20,9 @@
 // span ms equals the ms the ledger attributed to that op's label
 // (IoMsByOp(), asserted in tests for all three engines).
 //
-// The session is single-threaded by design: one session per bench job,
-// owned like JobOutput, merged in submission order by the harness.
+// The session holds no lock: one session per bench job, owned like
+// JobOutput and recorded into only by that job's thread; the harness
+// exports the sessions in submission order after the fan-out joins.
 //
 // Exporters: Chrome trace-event / Perfetto JSON (ChromeTraceJson; open in
 // https://ui.perfetto.dev or chrome://tracing) and an aggregated span-tree
@@ -38,8 +39,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/lock_order.h"
-#include "common/thread_annotations.h"
 #include "trace/tracing.h"
 
 namespace lob {
@@ -71,42 +70,27 @@ class TraceSession {
   /// Interns `name`, returning a stable id for Event::name_id. Takes a
   /// view so the hot path (span sites passing literals or label buffers)
   /// allocates only on first sight of a name.
-  uint32_t InternName(std::string_view name) LOB_EXCLUDES(mu_);
-  /// Thread-compatible accessor (escaping reference): exporters read
-  /// names from a quiesced session.
-  const std::string& Name(uint32_t id) const LOB_UNLOCKED_ACCESS {
-    return names_[id];
-  }
+  uint32_t InternName(std::string_view name);
+  const std::string& Name(uint32_t id) const { return names_[id]; }
 
   /// Opens a span at modeled time `now_ms`; returns its event index for
   /// the matching EndSpan. Spans must close in LIFO order (checked).
-  size_t BeginSpan(std::string_view name, SpanKind kind, double now_ms)
-      LOB_EXCLUDES(mu_);
-  void EndSpan(size_t index, double now_ms) LOB_EXCLUDES(mu_);
+  size_t BeginSpan(std::string_view name, SpanKind kind, double now_ms);
+  void EndSpan(size_t index, double now_ms);
 
   /// Records one metered disk call as a "disk.io" leaf under the
   /// currently open span (root level when none is open). Called by
   /// SimDisk::AccountCall on every metered call.
-  void RecordIo(bool is_read, uint32_t pages, double start_ms, double dur_ms)
-      LOB_EXCLUDES(mu_);
+  void RecordIo(bool is_read, uint32_t pages, double start_ms, double dur_ms);
 
-  /// Thread-compatible accessor (escaping reference; quiesced readers).
-  const std::vector<Event>& events() const LOB_UNLOCKED_ACCESS {
-    return events_;
-  }
-  bool empty() const LOB_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return events_.empty();
-  }
-  size_t open_spans() const LOB_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return stack_.size();
-  }
+  const std::vector<Event>& events() const { return events_; }
+  bool empty() const { return events_.empty(); }
+  size_t open_spans() const { return stack_.size(); }
 
   /// Sum of disk.io span ms grouped by the nearest enclosing kOp span's
   /// name ("(unattributed)" when the I/O happened outside any op). The
   /// conservation tests compare this map against the ObsRegistry ledger.
-  std::map<std::string, double> IoMsByOp() const LOB_EXCLUDES(mu_);
+  std::map<std::string, double> IoMsByOp() const;
 
   /// Appends this session's events as Chrome trace-event objects (ph "X"
   /// complete events, ts/dur in modeled microseconds) plus a process_name
@@ -114,7 +98,7 @@ class TraceSession {
   /// `*first` tracks comma placement across sessions.
   void AppendChromeTraceEvents(std::string* out, int pid,
                                const std::string& process_name,
-                               bool* first) const LOB_EXCLUDES(mu_);
+                               bool* first) const;
 
   /// Merges the labeled sessions (in the given order — the harness passes
   /// submission order, making the bytes independent of --jobs) into one
@@ -132,25 +116,19 @@ class TraceSession {
     uint64_t io_pages = 0;
     std::map<std::string, SummaryNode> children;
   };
-  SummaryNode Summarize() const LOB_EXCLUDES(mu_);
+  SummaryNode Summarize() const;
 
   /// Prints a summary tree as an indented per-phase modeled-ms rollup.
   static void PrintSummary(const SummaryNode& root, std::FILE* f);
 
  private:
-  uint32_t InternNameLocked(std::string_view name) LOB_REQUIRES(mu_);
-
-  /// Session latch (LockRank::kTraceSession). One session per job keeps
-  /// contention nil today; the latch makes the recording entry points
-  /// safe to share between threads.
-  mutable Mutex mu_{LockRank::kTraceSession};
-  std::vector<std::string> names_ LOB_GUARDED_BY(mu_);
-  std::map<std::string, uint32_t, std::less<>> name_ids_ LOB_GUARDED_BY(mu_);
-  std::vector<Event> events_ LOB_GUARDED_BY(mu_);
+  std::vector<std::string> names_;
+  std::map<std::string, uint32_t, std::less<>> name_ids_;
+  std::vector<Event> events_;
   /// Indices of currently open spans.
-  std::vector<size_t> stack_ LOB_GUARDED_BY(mu_);
+  std::vector<size_t> stack_;
   /// Interned "disk.io", lazily.
-  uint32_t io_name_id_ LOB_GUARDED_BY(mu_) = UINT32_MAX;
+  uint32_t io_name_id_ = UINT32_MAX;
 };
 
 }  // namespace lob

@@ -28,11 +28,11 @@ IoStats MakeIo(double ms, uint64_t reads) {
 }
 
 /// One finished op: the metered call lands in the ledger
-/// (AttributeCall) and the op end feeds the histograms (RecordOpEnd) —
+/// (AttributionRecord) and the op end feeds the histograms (RecordOpEnd) —
 /// the same pairing OpScope produces.
 void Record(ObsRegistry* obs, const char* label, double ms, uint64_t reads) {
   const IoStats io = MakeIo(ms, reads);
-  obs->AttributeCall(label, io);
+  obs->AttributionRecord(label)->io += io;
   obs->RecordOpEnd(label, io);
 }
 

@@ -1,19 +1,19 @@
 #!/usr/bin/env bash
-# Acceptance guard for the LOB_GUARDED_BY annotations on ObsRegistry:
+# Acceptance guard for the LOB_GUARDED_BY annotations on ThreadPool:
 # removing any one of them must demonstrably break the build gate.
 #
 # Under Clang, *deleting* an annotation only relaxes the analysis (the
 # compiler cannot miss what is no longer claimed), so the enforced side of
 # the contract is lob_lint's LOB009 member check: every mutable member of
 # a mutex-holding class must carry a guard annotation. This test strips
-# each LOB_GUARDED_BY from a copy of src/obs/obs_registry.h, one at a
+# each LOB_GUARDED_BY from a copy of src/exec/thread_pool.h, one at a
 # time, and asserts the linter reports the now-unguarded member.
 #
 # Usage: guard_strip_test.sh <repo-root>
 
 set -u
 ROOT="$1"
-SRC="$ROOT/src/obs/obs_registry.h"
+SRC="$ROOT/src/exec/thread_pool.h"
 LINT="$ROOT/tools/lob_lint.py"
 PY="${PYTHON:-python3}"
 
@@ -30,11 +30,11 @@ echo "stripping each of $n LOB_GUARDED_BY annotation(s) in turn"
 # Baseline: the unmodified header (re-pinned to its real path) is clean.
 base="$TMP/baseline.h"
 {
-  echo "// LOBLINT-FIXTURE-PATH: src/obs/obs_registry.h"
+  echo "// LOBLINT-FIXTURE-PATH: src/exec/thread_pool.h"
   cat "$SRC"
 } >"$base"
 if ! "$PY" "$LINT" --root "$ROOT" "$base" >"$TMP/baseline.out" 2>&1; then
-  echo "FAIL: pristine obs_registry.h is not lint-clean:"
+  echo "FAIL: pristine thread_pool.h is not lint-clean:"
   cat "$TMP/baseline.out"
   exit 1
 fi
@@ -43,7 +43,7 @@ fail=0
 for i in $(seq 1 "$n"); do
   stripped="$TMP/stripped_$i.h"
   {
-    echo "// LOBLINT-FIXTURE-PATH: src/obs/obs_registry.h"
+    echo "// LOBLINT-FIXTURE-PATH: src/exec/thread_pool.h"
     awk -v k="$i" '
       {
         line = $0

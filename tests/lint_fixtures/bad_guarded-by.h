@@ -2,10 +2,10 @@
 //
 // A mutable member sitting next to a mutex with no LOB_GUARDED_BY: either
 // the lock protects it (annotate it) or something else does (say what,
-// with a LOBLINT(lock-rank) suppression). Silent is not an option.
+// with a LOBLINT(guarded-by) suppression). Silent is not an option.
 
-#ifndef LOB_TESTS_LINT_FIXTURES_BAD_LOCK_RANK_2_H_
-#define LOB_TESTS_LINT_FIXTURES_BAD_LOCK_RANK_2_H_
+#ifndef LOB_TESTS_LINT_FIXTURES_BAD_GUARDED_BY_H_
+#define LOB_TESTS_LINT_FIXTURES_BAD_GUARDED_BY_H_
 
 #include <cstdint>
 
@@ -16,10 +16,10 @@ namespace lob {
 
 class BadGuard {
  private:
-  Mutex mu_{LockRank::kObsRegistry};
+  Mutex mu_;
   uint64_t hits_ = 0;  // BAD: shared mutable state, no LOB_GUARDED_BY
 };
 
 }  // namespace lob
 
-#endif  // LOB_TESTS_LINT_FIXTURES_BAD_LOCK_RANK_2_H_
+#endif  // LOB_TESTS_LINT_FIXTURES_BAD_GUARDED_BY_H_

@@ -1,7 +1,7 @@
 // LOBLINT-FIXTURE-PATH: tools/bad_sync_tool.cc
 //
 // Tools are in scope too: a condition_variable wait in a tool is exactly
-// as invisible to the rank checker as one in the library.
+// as invisible to the leaf-lock checker as one in the library.
 
 #include <condition_variable>
 #include <mutex>

@@ -1,7 +1,7 @@
 // LOBLINT-FIXTURE-PATH: src/common/fake_sync.cc
 //
 // src/common/ is the one place raw primitives are allowed: it is where
-// the ranked lob::Mutex wrappers themselves are implemented.
+// the leaf lob::Mutex wrappers themselves are implemented.
 
 #include <mutex>
 

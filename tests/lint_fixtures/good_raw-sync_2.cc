@@ -1,7 +1,7 @@
 // LOBLINT-FIXTURE-PATH: src/esm/good_sync.cc
 //
-// The sanctioned form: a ranked lob::Mutex with an RAII MutexLock. The
-// acquisition is order-checked at run time and analyzable by Clang.
+// The sanctioned form: a leaf lob::Mutex with an RAII MutexLock. The
+// acquisition is nesting-checked at run time and analyzable by Clang.
 
 #include "common/lock_order.h"
 #include "common/thread_annotations.h"
@@ -16,7 +16,7 @@ class GoodCounter {
   }
 
  private:
-  Mutex mu_{LockRank::kCampaign};
+  Mutex mu_;
   int count_ LOB_GUARDED_BY(mu_) = 0;
 };
 

@@ -95,16 +95,6 @@ rc=$?
 set -e
 [ "$rc" -eq 2 ] || fail "bench-diff bad input should exit 2 (got $rc)"
 
-# locks: the rank-table dump must list every registered lock in strictly
-# ascending rank order and stay in sync with common/lock_order.h.
-"$LOBTOOL" locks > "$DIR/locks.txt" || fail "locks exit"
-for id in exec.thread_pool exec.campaign obs.registry \
-          trace.session trace.timeline common.log_sink; do
-  grep -q "$id" "$DIR/locks.txt" || fail "locks table missing $id"
-done
-awk 'NR > 1 { if ($2 + 0 <= prev) exit 1; prev = $2 + 0 }' \
-  "$DIR/locks.txt" || fail "locks ranks not strictly increasing"
-
 "$LOBTOOL" "$DB" rm idx >/dev/null || fail "rm"
 "$LOBTOOL" "$DB" info | grep -q 'objects: *2' || fail "info after rm"
 
@@ -112,5 +102,31 @@ awk 'NR > 1 { if ($2 + 0 <= prev) exit 1; prev = $2 + 0 }' \
 "$LOBTOOL" "$DB" cat nosuch >/dev/null 2>&1 && fail "cat nosuch should fail"
 "$LOBTOOL" "$DB" frobnicate >/dev/null 2>&1 && fail "unknown cmd should fail"
 "$LOBTOOL" "$DIR/absent.lobdb" ls >/dev/null 2>&1 && fail "missing db should fail"
+
+# Malformed numbers are rejected, not truncated or guessed: exit 1 (2 for
+# bench-diff, whose bad-input code is 2) and nothing is changed or run.
+expect_rc() {
+  local want="$1" what="$2"
+  shift 2
+  set +e
+  "$@" >/dev/null 2>&1
+  local rc=$?
+  set -e
+  [ "$rc" -eq "$want" ] || fail "$what should exit $want (got $rc)"
+}
+expect_rc 1 "create with a param above 2^32" \
+  "$LOBTOOL" "$DB" create big esm 4294967297
+"$LOBTOOL" "$DB" ls | grep -q '^big ' && fail "create with a bad param created"
+expect_rc 1 "cat with a non-numeric offset" "$LOBTOOL" "$DB" cat doc abc 10
+expect_rc 1 "delete with a suffixed offset" "$LOBTOOL" "$DB" delete doc 1x 10
+[ "$("$LOBTOOL" "$DB" cat doc)" = "hello large objects" ] \
+  || fail "delete with a bad offset changed the object"
+"$LOBTOOL" trace "$DIR/demo.ops" eos 4 >/dev/null || fail "trace eos 4"
+expect_rc 1 "trace with a negative param" \
+  "$LOBTOOL" trace "$DIR/demo.ops" eos -5
+expect_rc 1 "trace with a misspelled flag" \
+  "$LOBTOOL" trace "$DIR/demo.ops" --jsn="$DIR/out.json"
+expect_rc 2 "bench-diff with a non-numeric band" \
+  "$LOBTOOL" bench-diff "$DIR/base.json" "$DIR/base.json" --neutral-band=abc
 
 echo "lobtool_test: PASS"

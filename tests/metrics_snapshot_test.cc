@@ -84,7 +84,7 @@ TEST(MetricsSnapshotTest, FromRegistryIsOpsAndCountersOnly) {
   call.read_calls = 1;
   call.pages_read = 4;
   call.ms = 49.0;
-  obs.AttributeCall("eos.read", call);
+  obs.AttributionRecord("eos.read")->io += call;
   obs.RecordOpEnd("eos.read", call);
   obs.Counter("pool.fix_hits") = 3;
 

@@ -141,33 +141,6 @@ TEST(HistogramTest, QuantilesAreMonotoneAndOrdered) {
   EXPECT_LT(p50, 1000.0);
 }
 
-TEST(HistogramTest, SubBucketsSharpenQuantiles) {
-  Histogram coarse;
-  Histogram fine;
-  fine.EnableSubBuckets();
-  EXPECT_TRUE(fine.sub_buckets_enabled());
-  // 1000 samples at 520 and one outlier at 1020 — same log2 bucket
-  // [512, 1024). The coarse histogram has to interpolate across the whole
-  // bucket; the fine one pins the mass near 520.
-  for (int i = 0; i < 1000; ++i) {
-    coarse.Add(520);
-    fine.Add(520);
-  }
-  coarse.Add(1020);
-  fine.Add(1020);
-  const double coarse_p50 = coarse.Quantile(0.5);
-  const double fine_p50 = fine.Quantile(0.5);
-  EXPECT_NEAR(fine_p50, 520.0, 32.0);  // within one sub-bucket width
-  EXPECT_LE(std::abs(fine_p50 - 520.0), std::abs(coarse_p50 - 520.0));
-}
-
-TEST(HistogramTest, SubBucketEnableIsBeforeFirstSampleOnly) {
-  Histogram h;
-  h.Add(7);
-  h.EnableSubBuckets();  // too late: ignored, stays coarse
-  EXPECT_FALSE(h.sub_buckets_enabled());
-}
-
 TEST(HistogramTest, MergeFromCombinesCountsAndExtremes) {
   Histogram a;
   Histogram b;
@@ -183,25 +156,6 @@ TEST(HistogramTest, MergeFromCombinesCountsAndExtremes) {
   a.MergeFrom(empty);
   EXPECT_EQ(a.count(), 5u);
   EXPECT_EQ(a.min(), 1u);
-}
-
-TEST(HistogramTest, MergeFromDegradesMixedResolutionToCoarse) {
-  Histogram fine;
-  fine.EnableSubBuckets();
-  fine.Add(100);
-  Histogram coarse;
-  coarse.Add(200);
-  fine.MergeFrom(coarse);  // coarse side has samples: sub table is invalid
-  EXPECT_FALSE(fine.sub_buckets_enabled());
-  EXPECT_EQ(fine.count(), 2u);
-  // An empty destination adopts the source's sub-bucket table.
-  Histogram fresh;
-  Histogram fine2;
-  fine2.EnableSubBuckets();
-  fine2.Add(100);
-  fresh.MergeFrom(fine2);
-  EXPECT_TRUE(fresh.sub_buckets_enabled());
-  EXPECT_EQ(fresh.count(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -227,11 +181,11 @@ TEST(ObsRegistryTest, MergeFromAccumulatesAcrossRegistries) {
   call.read_calls = 1;
   call.pages_read = 2;
   call.ms = 41.0;
-  a.AttributeCall("eos.read", call);
+  a.AttributionRecord("eos.read")->io += call;
   a.RecordOpEnd("eos.read", call);
   a.Counter("pool.fix_hits") = 10;
-  b.AttributeCall("eos.read", call);
-  b.AttributeCall("esm.insert", call);
+  b.AttributionRecord("eos.read")->io += call;
+  b.AttributionRecord("esm.insert")->io += call;
   b.RecordOpEnd("eos.read", call);
   b.RecordOpEnd("esm.insert", call);
   b.Counter("pool.fix_hits") = 5;
@@ -262,9 +216,9 @@ TEST(ObsRegistryTest, AttributionLedgerAccumulatesPerLabel) {
   call.read_calls = 1;
   call.pages_read = 4;
   call.ms = 49.0;
-  obs.AttributeCall("a.read", call);
-  obs.AttributeCall("a.read", call);
-  obs.AttributeCall("b.write", call);
+  obs.AttributionRecord("a.read")->io += call;
+  obs.AttributionRecord("a.read")->io += call;
+  obs.AttributionRecord("b.write")->io += call;
   EXPECT_EQ(obs.ops().at("a.read").io.read_calls, 2u);
   EXPECT_EQ(obs.ops().at("a.read").io.pages_read, 8u);
   EXPECT_EQ(obs.ops().at("b.write").io.read_calls, 1u);
@@ -298,7 +252,7 @@ TEST(ObsRegistryTest, JsonAndCsvExportShape) {
   call.write_calls = 1;
   call.pages_written = 2;
   call.ms = 41.0;
-  obs.AttributeCall("eos.append", call);
+  obs.AttributionRecord("eos.append")->io += call;
   obs.RecordOpEnd("eos.append", call);
   obs.Counter("objects_created") = 7;
   const std::string json = obs.ToJson();

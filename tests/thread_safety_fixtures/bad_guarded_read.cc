@@ -13,7 +13,7 @@ class BadGuardedRead {
   int total() const { return total_; }
 
  private:
-  mutable Mutex mu_{LockRank::kCampaign};
+  mutable Mutex mu_;
   int total_ LOB_GUARDED_BY(mu_) = 0;
 };
 

@@ -17,7 +17,7 @@ class BadMissingRelease {
   }
 
  private:
-  Mutex mu_{LockRank::kCampaign};
+  Mutex mu_;
   int total_ LOB_GUARDED_BY(mu_) = 0;
 };
 

@@ -15,7 +15,7 @@ class BadRequiresUnheld {
   }
 
  private:
-  Mutex mu_{LockRank::kCampaign};
+  Mutex mu_;
   int total_ LOB_GUARDED_BY(mu_) = 0;
 };
 

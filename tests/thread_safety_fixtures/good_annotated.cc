@@ -27,7 +27,7 @@ class Annotated {
   }
 
  private:
-  mutable Mutex mu_{LockRank::kCampaign};
+  mutable Mutex mu_;
   int total_ LOB_GUARDED_BY(mu_) = 0;
 };
 

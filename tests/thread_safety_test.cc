@@ -1,9 +1,9 @@
-// Tests for the ranked synchronization layer (common/lock_order.h), the
-// latched warn-log sink and the storage layer's thread confinement: the
-// rank table is a contract, out-of-order acquisition aborts (death tests),
-// CondVar keeps the held-rank stack consistent across waits, LOB_LOG_WARN
-// lines stay untorn under concurrency, and a BufferPool reached from a
-// second thread aborts (death test).
+// Tests for the leaf-lock layer (common/lock_order.h), the latched
+// warn-log sink and the storage layer's thread confinement: a thread that
+// holds a lob::Mutex and locks another aborts, as does an unlock of a
+// mutex it does not hold (death tests); CondVar keeps the thread's held
+// mutex across waits; LOB_LOG_WARN lines stay untorn under concurrency;
+// and a BufferPool reached from a second thread aborts (death test).
 //
 // The death tests put this binary under the `death` ctest label: gtest
 // death tests fork, which ThreadSanitizer does not support, so TSan runs
@@ -15,10 +15,7 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,100 +23,23 @@
 #include "buffer/buffer_pool.h"
 #include "common/lock_order.h"
 #include "common/logging.h"
-#include "common/thread_annotations.h"
 #include "exec/thread_pool.h"
 
 namespace lob {
 namespace {
 
-// ------------------------------------------------------------- rank table
-
-TEST(LockRankTableTest, RanksStrictlyIncreaseInTableOrder) {
-  int prev = -1;
-  for (const LockRankRow& row : kLockRankRows) {
-    EXPECT_GT(row.rank, prev)
-        << row.name << " breaks the ascending-rank table order";
-    prev = row.rank;
-  }
-}
-
-TEST(LockRankTableTest, IdsAndNamesAreUniqueAndNonEmpty) {
-  std::set<std::string> ids;
-  std::set<std::string> names;
-  for (const LockRankRow& row : kLockRankRows) {
-    EXPECT_NE(row.id[0], '\0');
-    EXPECT_NE(row.description[0], '\0');
-    EXPECT_TRUE(ids.insert(row.id).second) << "duplicate id " << row.id;
-    EXPECT_TRUE(names.insert(row.name).second)
-        << "duplicate enumerator " << row.name;
-  }
-}
-
-TEST(LockRankTableTest, LockRankNameResolvesEveryRow) {
-  for (const LockRankRow& row : kLockRankRows) {
-    EXPECT_STREQ(LockRankName(static_cast<LockRank>(row.rank)), row.id);
-  }
-  EXPECT_STREQ(LockRankName(static_cast<LockRank>(-12345)), "?");
-}
-
-// ------------------------------------------------------ in-order locking
-
-TEST(LockOrderTest, AscendingAcquisitionIsAllowed) {
-  Mutex outer{LockRank::kCampaign};
-  Mutex inner{LockRank::kObsRegistry};
-  MutexLock a(&outer);
-  MutexLock b(&inner);  // 20 -> 40: strictly increasing, fine
-  outer.AssertHeld();
-  inner.AssertHeld();
-}
+// ---------------------------------------------------------- leaf locking
 
 TEST(LockOrderTest, ReacquireAfterReleaseIsAllowed) {
-  Mutex mu{LockRank::kCampaign};
+  Mutex mu;
   { MutexLock lock(&mu); }
-  { MutexLock lock(&mu); }  // the stack popped; same rank is fine again
-}
-
-TEST(LockOrderTest, TryLockSucceedsUncontendedAndTracksHeld) {
-  Mutex mu{LockRank::kCampaign};
-  ASSERT_TRUE(mu.TryLock());
-  mu.AssertHeld();
-  mu.Unlock();
-}
-
-TEST(LockOrderTest, TryLockFailureLeavesStackIntact) {
-  Mutex mu{LockRank::kCampaign};
-  MutexLock lock(&mu);
-  std::thread contender([&] {
-    // Another thread's try-lock fails (we hold it) and must not record a
-    // phantom held entry; a subsequent in-order acquire still works.
-    EXPECT_FALSE(mu.TryLock());
-    Mutex later{LockRank::kObsRegistry};
-    MutexLock inner(&later);
-  });
-  contender.join();
-}
-
-TEST(LockOrderTest, HandOverHandReleaseOutOfLifoOrder) {
-  // PopHeld scans from the top, so releasing the *outer* lock first (a
-  // legal hand-over-hand pattern) must not confuse the stack.
-  Mutex a{LockRank::kThreadPool};
-  Mutex b{LockRank::kCampaign};
-  a.Lock();
-  b.Lock();
-  a.Unlock();  // out of LIFO order
-  b.AssertHeld();
-  b.Unlock();
-}
-
-TEST(LockOrderTest, RankAccessorReturnsConstructionRank) {
-  Mutex mu{LockRank::kLogSink};
-  EXPECT_EQ(mu.rank(), LockRank::kLogSink);
+  { MutexLock lock(&mu); }  // released, so this is not nesting
 }
 
 // ------------------------------------------------------------ cond vars
 
-TEST(CondVarTest, HandshakeAndHeldStackSurviveWait) {
-  Mutex mu{LockRank::kCampaign};
+TEST(CondVarTest, HandshakeKeepsMutexHeldAcrossWait) {
+  Mutex mu;
   CondVar cv;
   bool ready = false;
   std::thread producer([&] {
@@ -130,13 +50,10 @@ TEST(CondVarTest, HandshakeAndHeldStackSurviveWait) {
   {
     MutexLock lock(&mu);
     while (!ready) cv.Wait(&mu);
-    // The mutex is re-held after Wait; the rank stack must agree.
-    mu.AssertHeld();
-    // And the order checker must still see rank 20 as held: acquiring a
-    // lower rank here would abort, a higher one is fine.
-    Mutex inner{LockRank::kObsRegistry};
-    MutexLock i(&inner);
-  }
+  }  // the unlock checks the mutex is still this thread's held one
+  // Released: this thread holds nothing, so another leaf lock is fine.
+  Mutex other;
+  MutexLock lock(&other);
   producer.join();
 }
 
@@ -144,54 +61,22 @@ TEST(CondVarTest, HandshakeAndHeldStackSurviveWait) {
 
 using LockOrderDeathTest = ::testing::Test;
 
-TEST(LockOrderDeathTest, DescendingAcquisitionAborts) {
+TEST(LockOrderDeathTest, NestedAcquisitionAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex outer{LockRank::kObsRegistry};
-  Mutex inner{LockRank::kCampaign};
+  Mutex outer;
+  Mutex inner;
   EXPECT_DEATH(
       {
         MutexLock a(&outer);
-        MutexLock b(&inner);  // 40 -> 20: inversion
+        MutexLock b(&inner);  // a second lob::Mutex: not a leaf
       },
-      "lock-order violation: acquiring \"exec.campaign\" \\(rank 20\\) "
-      "while holding \"obs.registry\" \\(rank 40\\)");
-}
-
-TEST(LockOrderDeathTest, EqualRankNestingAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex a{LockRank::kTraceSession};
-  Mutex b{LockRank::kTraceSession};
-  EXPECT_DEATH(
-      {
-        MutexLock la(&a);
-        MutexLock lb(&b);  // equal ranks may not nest
-      },
-      "lock-order violation");
-}
-
-TEST(LockOrderDeathTest, OutOfOrderTryLockAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex outer{LockRank::kTimeline};
-  Mutex inner{LockRank::kThreadPool};
-  EXPECT_DEATH(
-      {
-        MutexLock a(&outer);
-        inner.TryLock();  // rank-checked even though it cannot block
-      },
-      "lock-order violation");
-}
-
-TEST(LockOrderDeathTest, AssertHeldAbortsWhenNotHeld) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex mu{LockRank::kObsRegistry};
-  EXPECT_DEATH(mu.AssertHeld(),
-               "Mutex::AssertHeld: \"obs.registry\" \\(rank 40\\) is not "
-               "held by this thread");
+      "lock nesting: this thread already holds a lob::Mutex; every "
+      "lob::Mutex is a leaf lock \\(common/lock_order.h\\)");
 }
 
 TEST(LockOrderDeathTest, UnlockOfUnheldMutexAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex mu{LockRank::kObsRegistry};
+  Mutex mu;
   EXPECT_DEATH(mu.Unlock(),
                "lock-order: unlock of a mutex this thread does not hold");
 }
@@ -265,28 +150,6 @@ TEST(LogSinkTest, ConcurrentWarnLinesAreUntorn) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(counts[t], kPerThread) << "thread " << t << " lost lines";
   }
-}
-
-TEST(LogSinkTest, WarnWhileHoldingEveryOtherRankIsLegal) {
-  // kLogSink is the innermost rank precisely so any subsystem can warn
-  // while holding its own lock; prove the composition for the deepest
-  // legal chain.
-  Mutex campaign{LockRank::kCampaign};
-  Mutex obs{LockRank::kObsRegistry};
-  Mutex trace{LockRank::kTraceSession};
-  const std::string path = ::testing::TempDir() + "/lob_warn_nested.txt";
-  {
-    StderrCapture capture(path);
-    MutexLock a(&campaign);
-    MutexLock b(&obs);
-    MutexLock c(&trace);
-    LOB_LOG_WARN("warning under ranks 20+40+50");
-  }
-  std::ifstream in(path);
-  std::stringstream contents;
-  contents << in.rdbuf();
-  EXPECT_NE(contents.str().find("warning under ranks 20+40+50"),
-            std::string::npos);
 }
 
 // -------------------------------------- ThreadPool shutdown contract

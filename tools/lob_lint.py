@@ -59,16 +59,14 @@ break them. Rules (stable IDs, see RULES below):
                           condition_variable, call_once) outside src/common/.
                           All locking goes through lob::Mutex / MutexLock /
                           CondVar (common/lock_order.h) so every acquisition
-                          carries a LockRank, is order-checked at run time,
-                          and is visible to Clang -Wthread-safety.
-  LOB009 lock-rank        Every lob::Mutex declaration names
-                          its rank (LockRank::k...) from the table in
-                          common/lock_order.h, and mutable members of a
-                          mutex-holding class carry LOB_GUARDED_BY /
-                          LOB_PT_GUARDED_BY (const/static members, the
-                          mutex itself and CondVars are exempt; genuinely
-                          unguarded state needs a LOBLINT(lock-rank)
-                          suppression stating the confinement argument).
+                          is checked to be a leaf lock at run time and is
+                          visible to Clang -Wthread-safety.
+  LOB009 guarded-by       Mutable members in the scope of any lob::Mutex
+                          declaration carry LOB_GUARDED_BY (const/static
+                          members, the mutex itself and CondVars are
+                          exempt; genuinely unguarded state needs a
+                          LOBLINT(guarded-by) suppression stating the
+                          confinement argument).
 
 Suppressions
 ------------
@@ -102,7 +100,7 @@ RULES = {
     "ignore-status": "LOB006",
     "extent-guard": "LOB007",
     "raw-sync": "LOB008",
-    "lock-rank": "LOB009",
+    "guarded-by": "LOB009",
 }
 
 # ----------------------------------------------------------------- scoping
@@ -146,11 +144,11 @@ EXTENT_GUARD_SCOPE_PREFIXES = (
     "src/esm/", "src/starburst/", "src/eos/", "src/lobtree/", "src/core/")
 
 # Raw-sync scope: the library, bench and tool trees must lock through the
-# ranked lob::Mutex wrappers; src/common/ is where the wrappers live.
+# leaf lob::Mutex wrappers; src/common/ is where the wrappers live.
 RAW_SYNC_SCOPE_PREFIXES = ("src/", "bench/", "tools/")
 RAW_SYNC_ALLOW_PREFIXES = ("src/common/",)
 
-LOCK_RANK_SCOPE_PREFIXES = ("src/", "bench/", "tools/")
+GUARDED_BY_SCOPE_PREFIXES = ("src/", "bench/", "tools/")
 
 SCAN_DIRS = ("src", "bench", "tools", "examples", "tests")
 SCAN_EXTS = (".h", ".cc", ".cpp")
@@ -546,8 +544,8 @@ def check_raw_sync(path, code, findings):
                 path, idx, "raw-sync",
                 "raw std::%s outside src/common/; lock through lob::Mutex / "
                 "MutexLock / CondVar (common/lock_order.h) so the "
-                "acquisition carries a LockRank, is order-checked, and is "
-                "visible to Clang -Wthread-safety" % m.group(1)))
+                "acquisition is leaf-checked and visible to Clang "
+                "-Wthread-safety" % m.group(1)))
 
 
 # A lob Mutex variable declaration: type, name, then an initializer
@@ -560,6 +558,9 @@ MEMBER_RE = re.compile(r"\b([A-Za-z]\w*_)\s*(?:;|=[^=]|\{)")
 MEMBER_EXEMPT_RE = re.compile(
     r"\b(const|static|constexpr|friend|using|typedef|return|"
     r"Mutex|CondVar)\b")
+# Innermost template argument list; stripped repeatedly so a member typed
+# `std::deque<std::function<void()>>` is not mistaken for a method.
+TEMPLATE_ARGS_RE = re.compile(r"<[^<>]*>")
 
 
 def _line_start_depths(code):
@@ -572,29 +573,17 @@ def _line_start_depths(code):
     return depths
 
 
-def check_lock_rank(path, code, findings):
-    if not path.startswith(LOCK_RANK_SCOPE_PREFIXES):
+def check_guarded_by(path, code, findings):
+    if not path.startswith(GUARDED_BY_SCOPE_PREFIXES):
         return
     depths = _line_start_depths(code)
-    ranked_decl_lines = []
-    for idx, line in enumerate(code, start=1):
-        m = MUTEX_DECL_RE.search(line)
-        if not m:
-            continue
-        if "LockRank::" in line:
-            ranked_decl_lines.append(idx)
-        else:
-            findings.append(Finding(
-                path, idx, "lock-rank",
-                "%s '%s' declared without a LockRank; every lock names its "
-                "rank from the table in common/lock_order.h so acquisition "
-                "order is checkable" % (m.group(1), m.group(2))))
-
     # Members of a mutex-holding scope must be guarded: shared mutable state
     # next to a lock is either protected by it (annotate LOB_GUARDED_BY) or
-    # confined by some other argument (suppress with LOBLINT(lock-rank)).
+    # confined by some other argument (suppress with LOBLINT(guarded-by)).
     flagged = set()
-    for decl_line in ranked_decl_lines:
+    for decl_line, decl in enumerate(code, start=1):
+        if not MUTEX_DECL_RE.search(decl):
+            continue
         d = depths[decl_line - 1]
         if d < 1:
             continue  # namespace/file scope: nothing to pair it with
@@ -608,21 +597,24 @@ def check_lock_rank(path, code, findings):
             if depths[idx - 1] != d or idx in flagged:
                 continue
             line = code[idx - 1]
-            if "LOB_GUARDED_BY" in line or "LOB_PT_GUARDED_BY" in line:
+            if "LOB_GUARDED_BY" in line:
                 continue
             if MEMBER_EXEMPT_RE.search(line):
                 continue
             mm = MEMBER_RE.search(line)
             if not mm:
                 continue
-            if "(" in line[:mm.start(1)]:
+            head = line[:mm.start(1)]
+            while TEMPLATE_ARGS_RE.search(head):
+                head = TEMPLATE_ARGS_RE.sub("", head)
+            if "(" in head:
                 continue  # method signature / call, not a data member
             flagged.add(idx)
             findings.append(Finding(
-                path, idx, "lock-rank",
+                path, idx, "guarded-by",
                 "member '%s' in a mutex-holding scope lacks LOB_GUARDED_BY; "
                 "annotate which lock protects it (or justify confinement "
-                "with a LOBLINT(lock-rank) suppression)" % mm.group(1)))
+                "with a LOBLINT(guarded-by) suppression)" % mm.group(1)))
 
 
 # --------------------------------------------------------------- the driver
@@ -653,7 +645,7 @@ def lint_text(path, text):
     check_ignore_status(effective, code, comments, findings)
     check_extent_guard(effective, code, findings)
     check_raw_sync(effective, code, findings)
-    check_lock_rank(effective, code, findings)
+    check_guarded_by(effective, code, findings)
 
     # Apply suppressions.
     file_suppressed = set()

@@ -50,26 +50,25 @@
 //       thresholds (see scripts/perf_gates.json) and turns the report
 //       into a CI gate: exit 0 clean, 1 on gate violations, 2 on bad
 //       input. A run diffed against itself reports zero drift.
-//   lobtool locks
-//       dumps the lock-rank table (common/lock_order.h): enumerator,
-//       numeric rank, dotted id and what each lock protects. Ranks must
-//       be acquired in strictly increasing order; the table is the
-//       documented deadlock-freedom contract (docs/ARCHITECTURE.md).
+//
+// Numeric arguments (offsets, byte counts, engine parameters, the neutral
+// band) must be plain decimal numbers in range; anything else is an error
+// (exit 1, or 2 for bench-diff), never a silently truncated guess.
 //
 // Every mutating command reopens the image, applies the change, and saves
 // it back - a deliberately simple single-shot model matching the
 // simulated (volatile) disk underneath.
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "check/fsck.h"
 #include "common/json.h"
-#include "common/lock_order.h"
 #include "core/database.h"
 #include "core/factory.h"
 #include "core/metrics_snapshot.h"
@@ -98,8 +97,7 @@ int Usage() {
                "       lobtool flame <op-script> [esm|starburst|eos] "
                "[param] [--out=FILE]\n"
                "       lobtool bench-diff <baseline.json> <new.json> "
-               "[--gate=FILE] [--format=table|csv|json]\n"
-               "       lobtool locks\n");
+               "[--gate=FILE] [--format=table|csv|json]\n");
   return 2;
 }
 
@@ -123,53 +121,95 @@ StatusOr<Engine> ParseEngine(const std::string& name) {
   return Status::InvalidArgument("unknown engine (esm|starburst|eos)");
 }
 
+/// The one parser for numeric arguments: the whole of `text` must be a
+/// plain decimal number (it starts with a digit; no sign, space or
+/// suffix) that fits in T.
+template <typename T>
+StatusOr<T> ParseNumber(const std::string& text, const char* what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+      ec != std::errc() || stop != end) {
+    return Status::InvalidArgument(std::string("bad ") + what + " '" + text +
+                                   "'");
+  }
+  return value;
+}
+
+/// What `trace` and `flame` share: an op script replayed on a fresh
+/// in-memory system of one engine, with span tracing attached while it
+/// ran. Members are destroyed manager first, system last.
+struct Replay {
+  std::string script;
+  std::string engine_name = "eos";
+  StorageSystem sys;
+  TraceSession session;
+  std::unique_ptr<LargeObjectManager> mgr;
+  size_t ops = 0;
+  IoStats io;
+};
+
+/// Parses `<op-script> [esm|starburst|eos] [param] [<flag>FILE]` from
+/// argv[2..] and replays the script into `*r`. `flag` is the command's
+/// own file option ("--json=" or "--out="); its value goes to
+/// `*flag_value`. Any other argument is an error.
+Status ReplayScript(int argc, char** argv, const std::string& flag,
+                    std::string* flag_value, Replay* r) {
+  r->script = argv[2];
+  uint32_t param = 0;
+  for (int i = 3; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind(flag, 0) == 0) {
+      *flag_value = arg.substr(flag.size());
+    } else if (ParseEngine(arg).ok()) {
+      r->engine_name = arg;
+    } else {
+      auto parsed = ParseNumber<uint32_t>(arg, "param");
+      if (!parsed.ok()) return parsed.status();
+      param = *parsed;
+    }
+  }
+
+  auto trace = LoadTrace(r->script);
+  if (!trace.ok()) return trace.status();
+  r->sys.disk()->set_trace(&r->session);
+  if (r->engine_name == "esm") {
+    r->mgr = CreateEsmManager(&r->sys, param == 0 ? 4 : param);
+  } else if (r->engine_name == "starburst") {
+    r->mgr = CreateStarburstManager(&r->sys);
+  } else {
+    r->mgr = CreateEosManager(&r->sys, param == 0 ? 4 : param);
+  }
+  auto id = r->mgr->Create();
+  if (!id.ok()) return id.status();
+  auto io = ApplyTrace(&r->sys, r->mgr.get(), *id, *trace);
+  if (!io.ok()) return io.status();
+  r->sys.disk()->set_trace(nullptr);
+  r->ops = trace->ops.size();
+  r->io = *io;
+  return Status::OK();
+}
+
 /// `lobtool trace <op-script> [engine] [param] [--json=FILE]`: replay with
 /// span tracing attached and print the per-phase modeled-ms rollup.
 int RunTrace(int argc, char** argv) {
   if (argc < 3) return Usage();
-  const std::string script = argv[2];
-  std::string engine_name = "eos";
-  uint32_t param = 0;
   std::string json_path;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg == "esm" || arg == "starburst" || arg == "eos") {
-      engine_name = arg;
-    } else {
-      param = static_cast<uint32_t>(std::strtoul(arg.c_str(), nullptr, 10));
-    }
+  Replay r;
+  if (Status s = ReplayScript(argc, argv, "--json=", &json_path, &r);
+      !s.ok()) {
+    return Fail(s);
   }
 
-  auto trace = LoadTrace(script);
-  if (!trace.ok()) return Fail(trace.status());
-
-  StorageSystem sys;
-  TraceSession session;
-  sys.disk()->set_trace(&session);
-  std::unique_ptr<LargeObjectManager> mgr;
-  if (engine_name == "esm") {
-    mgr = CreateEsmManager(&sys, param == 0 ? 4 : param);
-  } else if (engine_name == "starburst") {
-    mgr = CreateStarburstManager(&sys);
-  } else {
-    mgr = CreateEosManager(&sys, param == 0 ? 4 : param);
-  }
-  auto id = mgr->Create();
-  if (!id.ok()) return Fail(id.status());
-  auto io = ApplyTrace(&sys, mgr.get(), *id, *trace);
-  if (!io.ok()) return Fail(io.status());
-  sys.disk()->set_trace(nullptr);
-
-  std::printf("replayed %zu ops (%s) from %s\n", trace->ops.size(),
-              engine_name.c_str(), script.c_str());
-  std::printf("modeled I/O: %s\n\n", io->ToString().c_str());
+  std::printf("replayed %zu ops (%s) from %s\n", r.ops,
+              r.engine_name.c_str(), r.script.c_str());
+  std::printf("modeled I/O: %s\n\n", r.io.ToString().c_str());
 #if !LOB_TRACING
   std::printf("note: span tracing compiled out (LOB_TRACING=OFF); the\n"
               "summary below is empty. Rebuild with -DLOB_TRACING=ON.\n");
 #endif
-  TraceSession::PrintSummary(session.Summarize(), stdout);
+  TraceSession::PrintSummary(r.session.Summarize(), stdout);
 
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -177,7 +217,7 @@ int RunTrace(int argc, char** argv) {
       return Fail(Status::NotFound("cannot write " + json_path));
     }
     const std::string json = TraceSession::ChromeTraceJson(
-        {{engine_name + " replay of " + script, &session}});
+        {{r.engine_name + " replay of " + r.script, &r.session}});
     std::fwrite(json.data(), 1, json.size(), f);
     std::fclose(f);
     std::printf("\nwrote %s (open in https://ui.perfetto.dev)\n",
@@ -191,42 +231,14 @@ int RunTrace(int argc, char** argv) {
 /// folded-stack flamegraph text. Conservation check results go to stderr.
 int RunFlame(int argc, char** argv) {
   if (argc < 3) return Usage();
-  const std::string script = argv[2];
-  std::string engine_name = "eos";
-  uint32_t param = 0;
   std::string out_path;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg == "esm" || arg == "starburst" || arg == "eos") {
-      engine_name = arg;
-    } else {
-      param = static_cast<uint32_t>(std::strtoul(arg.c_str(), nullptr, 10));
-    }
+  Replay r;
+  if (Status s = ReplayScript(argc, argv, "--out=", &out_path, &r);
+      !s.ok()) {
+    return Fail(s);
   }
 
-  auto trace = LoadTrace(script);
-  if (!trace.ok()) return Fail(trace.status());
-
-  StorageSystem sys;
-  TraceSession session;
-  sys.disk()->set_trace(&session);
-  std::unique_ptr<LargeObjectManager> mgr;
-  if (engine_name == "esm") {
-    mgr = CreateEsmManager(&sys, param == 0 ? 4 : param);
-  } else if (engine_name == "starburst") {
-    mgr = CreateStarburstManager(&sys);
-  } else {
-    mgr = CreateEosManager(&sys, param == 0 ? 4 : param);
-  }
-  auto id = mgr->Create();
-  if (!id.ok()) return Fail(id.status());
-  auto io = ApplyTrace(&sys, mgr.get(), *id, *trace);
-  if (!io.ok()) return Fail(io.status());
-  sys.disk()->set_trace(nullptr);
-
-  const FlameGraph graph = FlameGraph::Build(*sys.obs());
+  const FlameGraph graph = FlameGraph::Build(*r.sys.obs());
   const std::string folded = graph.ToFolded();
   if (out_path.empty()) {
     std::fputs(folded.c_str(), stdout);
@@ -243,13 +255,14 @@ int RunFlame(int argc, char** argv) {
   // records spans at all.
   bool ok = true;
   const FlameGraph::Check structure =
-      graph.CheckStructure(sys.obs()->AttributedTotal().ms);
+      graph.CheckStructure(r.sys.obs()->AttributedTotal().ms);
   for (const auto& p : structure.problems) {
     std::fprintf(stderr, "flame structure: %s\n", p.c_str());
   }
   ok = ok && structure.ok;
 #if LOB_TRACING
-  const FlameGraph::Check spans = graph.CheckConservation(session.IoMsByOp());
+  const FlameGraph::Check spans =
+      graph.CheckConservation(r.session.IoMsByOp());
   for (const auto& p : spans.problems) {
     std::fprintf(stderr, "flame span<->ledger: %s\n", p.c_str());
   }
@@ -281,7 +294,9 @@ int RunBenchDiff(int argc, char** argv) {
     } else if (arg.rfind("--format=", 0) == 0) {
       format = arg.substr(9);
     } else if (arg.rfind("--neutral-band=", 0) == 0) {
-      neutral_band = std::strtod(arg.c_str() + 15, nullptr);
+      auto band = ParseNumber<double>(arg.substr(15), "--neutral-band");
+      if (!band.ok()) return Fail(band.status()), 2;
+      neutral_band = *band;
     } else {
       std::fprintf(stderr, "lobtool bench-diff: unknown argument %s\n",
                    arg.c_str());
@@ -328,21 +343,7 @@ int RunBenchDiff(int argc, char** argv) {
   return 0;
 }
 
-/// `lobtool locks`: dump the lock-rank table (common/lock_order.h). The
-/// table is a documented contract — docs/ARCHITECTURE.md "Lock-rank
-/// table" — and this is its runtime source of truth.
-int RunLocks() {
-  std::printf("%-14s %5s  %-18s %s\n", "enumerator", "rank", "id",
-              "protects");
-  for (const LockRankRow& row : kLockRankRows) {
-    std::printf("%-14s %5d  %-18s %s\n", row.name, row.rank, row.id,
-                row.description);
-  }
-  return 0;
-}
-
 int Run(int argc, char** argv) {
-  if (argc >= 2 && std::string(argv[1]) == "locks") return RunLocks();
   if (argc < 3) return Usage();
   const std::string image = argv[1];
   const std::string cmd = argv[2];
@@ -366,10 +367,10 @@ int Run(int argc, char** argv) {
     if (argc < 5) return Usage();
     auto engine = ParseEngine(argv[4]);
     if (!engine.ok()) return Fail(engine.status());
-    const uint32_t param =
-        argc > 5 ? static_cast<uint32_t>(std::strtoul(argv[5], nullptr, 10))
-                 : 4;
-    auto id = (*db)->CreateObject(argv[3], *engine, param);
+    auto param = argc > 5 ? ParseNumber<uint32_t>(argv[5], "param")
+                          : StatusOr<uint32_t>(4);
+    if (!param.ok()) return Fail(param.status());
+    auto id = (*db)->CreateObject(argv[3], *engine, *param);
     if (!id.ok()) return Fail(id.status());
     if (Status s = (*db)->Save(image); !s.ok()) return Fail(s);
     std::printf("created %s (%s, id %u)\n", argv[3], argv[4], *id);
@@ -388,8 +389,9 @@ int Run(int argc, char** argv) {
     if (cmd == "put") {
       s = (*mgr)->Append(*id, *data);
     } else {
-      const uint64_t off = std::strtoull(argv[4], nullptr, 10);
-      s = (*mgr)->Insert(*id, off, *data);
+      auto off = ParseNumber<uint64_t>(argv[4], "offset");
+      if (!off.ok()) return Fail(off.status());
+      s = (*mgr)->Insert(*id, *off, *data);
     }
     if (!s.ok()) return Fail(s);
     if (Status saved = (*db)->Save(image); !saved.ok()) return Fail(saved);
@@ -407,12 +409,14 @@ int Run(int argc, char** argv) {
     if (!mgr.ok()) return Fail(mgr.status());
     auto size = (*mgr)->Size(*id);
     if (!size.ok()) return Fail(size.status());
-    const uint64_t off =
-        argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 0;
-    const uint64_t n = argc > 5 ? std::strtoull(argv[5], nullptr, 10)
-                                : (*size > off ? *size - off : 0);
+    auto off = argc > 4 ? ParseNumber<uint64_t>(argv[4], "offset")
+                        : StatusOr<uint64_t>(0);
+    if (!off.ok()) return Fail(off.status());
+    auto n = argc > 5 ? ParseNumber<uint64_t>(argv[5], "bytes")
+                      : StatusOr<uint64_t>(*size > *off ? *size - *off : 0);
+    if (!n.ok()) return Fail(n.status());
     std::string out;
-    if (Status s = (*mgr)->Read(*id, off, n, &out); !s.ok()) return Fail(s);
+    if (Status s = (*mgr)->Read(*id, *off, *n, &out); !s.ok()) return Fail(s);
     std::fwrite(out.data(), 1, out.size(), stdout);
     return 0;
   }
@@ -423,13 +427,15 @@ int Run(int argc, char** argv) {
     if (!id.ok()) return Fail(id.status());
     auto mgr = (*db)->ManagerForObject(*id);
     if (!mgr.ok()) return Fail(mgr.status());
-    const uint64_t off = std::strtoull(argv[4], nullptr, 10);
-    const uint64_t n = std::strtoull(argv[5], nullptr, 10);
-    if (Status s = (*mgr)->Delete(*id, off, n); !s.ok()) return Fail(s);
+    auto off = ParseNumber<uint64_t>(argv[4], "offset");
+    if (!off.ok()) return Fail(off.status());
+    auto n = ParseNumber<uint64_t>(argv[5], "bytes");
+    if (!n.ok()) return Fail(n.status());
+    if (Status s = (*mgr)->Delete(*id, *off, *n); !s.ok()) return Fail(s);
     if (Status saved = (*db)->Save(image); !saved.ok()) return Fail(saved);
     std::printf("deleted %llu bytes at %llu from %s\n",
-                static_cast<unsigned long long>(n),
-                static_cast<unsigned long long>(off), argv[3]);
+                static_cast<unsigned long long>(*n),
+                static_cast<unsigned long long>(*off), argv[3]);
     return 0;
   }
 
@@ -562,10 +568,10 @@ int Run(int argc, char** argv) {
   }
 
   if (cmd == "fsck") {
-    const uint32_t param =
-        argc > 3 ? static_cast<uint32_t>(std::strtoul(argv[3], nullptr, 10))
-                 : 4;
-    auto report = FsckDatabase(db->get(), param);
+    auto param = argc > 3 ? ParseNumber<uint32_t>(argv[3], "param")
+                          : StatusOr<uint32_t>(4);
+    if (!param.ok()) return Fail(param.status());
+    auto report = FsckDatabase(db->get(), *param);
     if (!report.ok()) return Fail(report.status());
     std::fputs(report->ToString().c_str(), stdout);
     return report->clean() ? 0 : 1;

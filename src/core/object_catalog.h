@@ -13,7 +13,9 @@
 //   [12] entries: { u8 name_len, name bytes, u32 object id } packed
 //
 // Entries never span pages; a page that cannot fit a new entry links to a
-// freshly allocated successor. Removal compacts the page in place.
+// freshly allocated successor. Every operation walks the pinned frame in
+// place: Put appends after the last entry, Remove slides the entries after
+// the match over it, and bytes past `used` are stale and never read.
 
 #ifndef LOB_CORE_OBJECT_CATALOG_H_
 #define LOB_CORE_OBJECT_CATALOG_H_
@@ -69,23 +71,7 @@ class ObjectCatalog {
   PageId head() const { return head_; }
 
  private:
-  struct Entry {
-    std::string name;
-    ObjectId id;
-  };
-
   AreaId area_id() const { return sys_->meta_area()->id(); }
-
-  /// Parses the entries of one catalog page.
-  [[nodiscard]]
-  Status ReadPage(PageId page, std::vector<Entry>* entries, PageId* next);
-
-  /// Rewrites one catalog page from an entry list (must fit).
-  [[nodiscard]] Status WritePage(PageId page, const std::vector<Entry>& entries,
-                   PageId next);
-
-  /// Bytes an entry occupies on the page.
-  static size_t EntryBytes(std::string_view name) { return 1 + name.size() + 4; }
 
   StorageSystem* sys_;
   PageId head_ = kInvalidPage;

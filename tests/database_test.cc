@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/database.h"
@@ -101,6 +104,217 @@ TEST(ObjectCatalogTest, DropFreesPages) {
   ASSERT_TRUE(cat.Drop().ok());
   EXPECT_EQ(sys.meta_area()->allocated_pages(), before - 1)
       << "all catalog pages including the head must be freed";
+}
+
+// Catalog page header fields (see object_catalog.h).
+uint16_t PageCount(const char* p) {
+  uint16_t v;
+  std::memcpy(&v, p + 8, 2);
+  return v;
+}
+uint16_t PageUsed(const char* p) {
+  uint16_t v;
+  std::memcpy(&v, p + 10, 2);
+  return v;
+}
+void SetPageCount(char* p, uint16_t v) { std::memcpy(p + 8, &v, 2); }
+void SetPageUsed(char* p, uint16_t v) { std::memcpy(p + 10, &v, 2); }
+
+/// The current bytes of each page, read through the pool.
+std::vector<std::string> PageBytes(StorageSystem* sys,
+                                   const std::vector<PageId>& pages) {
+  std::vector<std::string> out;
+  for (PageId page : pages) {
+    auto g = sys->pool()->FixPage(sys->meta_area()->id(), page,
+                                  FixMode::kRead);
+    EXPECT_TRUE(g.ok());
+    if (!g.ok()) return out;
+    out.emplace_back(g->data(), sys->config().page_size);
+  }
+  return out;
+}
+
+/// Applies `edit` to one meta page and flushes it to disk.
+void EditPage(StorageSystem* sys, PageId page,
+              const std::function<void(char*)>& edit) {
+  {
+    auto g = sys->pool()->FixPage(sys->meta_area()->id(), page,
+                                  FixMode::kRead);
+    ASSERT_TRUE(g.ok());
+    edit(g->mutable_data());
+    g->MarkDirty();
+  }
+  ASSERT_TRUE(sys->pool()->FlushRun(sys->meta_area()->id(), page, 1).ok());
+}
+
+TEST(ObjectCatalogTest, OverstatedCountOnFullPageIsCorruption) {
+  StorageSystem sys;
+  ObjectCatalog cat(&sys);
+  auto head = cat.Create();
+  ASSERT_TRUE(head.ok());
+  // 271 ten-byte names (15 bytes each) and one 14-byte name (19 bytes) use
+  // exactly 4084 bytes: the entries end at the head page's last byte.
+  for (int i = 0; i < 271; ++i) {
+    ASSERT_TRUE(cat.Put("name" + std::to_string(100000 + i),
+                        static_cast<ObjectId>(i))
+                    .ok());
+  }
+  ASSERT_TRUE(cat.Put("fourteen_bytes", 271).ok());
+  EditPage(&sys, *head, [](char* p) {
+    ASSERT_EQ(PageUsed(p), 4084);
+    SetPageCount(p, static_cast<uint16_t>(PageCount(p) + 1));
+  });
+  // Drop the frame, so the next fix borrows the disk's own page image: a
+  // parser that loads a length byte past `used` reads past that image.
+  ASSERT_TRUE(sys.pool()->Invalidate(sys.meta_area()->id(), *head, 1).ok());
+  EXPECT_EQ(cat.Get("fourteen_bytes").status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(cat.Put("fresh", 1).code(), StatusCode::kCorruption);
+  EXPECT_EQ(cat.Remove("name100000").code(), StatusCode::kCorruption);
+  EXPECT_EQ(cat.List().status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(cat.Pages().status().code(), StatusCode::kCorruption);
+}
+
+/// 24-byte names: 140 entries fill a page, so 300 of them chain three
+/// pages with names 140..279 on the second.
+std::string ChainName(int i) {
+  return "chained_object_name_" + std::to_string(1000 + i);
+}
+
+/// Builds a three-page chain, applies `damage` to its second page, and
+/// expects every public method to fail with Corruption. `probe` is bound
+/// on the second page, ahead of any damaged entry; a rejected Put or
+/// Remove must leave every catalog page as it was.
+void ExpectCorruptionEverywhere(const std::function<void(char*)>& damage,
+                                const std::string& probe) {
+  StorageSystem sys;
+  ObjectCatalog cat(&sys);
+  ASSERT_TRUE(cat.Create().ok());
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(cat.Put(ChainName(i), static_cast<ObjectId>(i)).ok());
+  }
+  auto pages = cat.Pages();
+  ASSERT_TRUE(pages.ok());
+  ASSERT_EQ(pages->size(), 3u);
+  EditPage(&sys, (*pages)[1], damage);
+
+  EXPECT_EQ(cat.Get(probe).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(cat.Contains(probe).status().code(), StatusCode::kCorruption);
+  const std::vector<std::string> before = PageBytes(&sys, *pages);
+  EXPECT_EQ(cat.Put("a_fresh_name", 9999).code(), StatusCode::kCorruption);
+  EXPECT_EQ(PageBytes(&sys, *pages), before) << "rejected Put wrote a page";
+  EXPECT_EQ(cat.Remove(probe).code(), StatusCode::kCorruption);
+  EXPECT_EQ(PageBytes(&sys, *pages), before) << "rejected Remove wrote a page";
+  EXPECT_EQ(cat.List().status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(cat.Size().status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(cat.Pages().status().code(), StatusCode::kCorruption);
+  // Last: Drop frees the head page before it reaches the damage.
+  EXPECT_EQ(cat.Drop().code(), StatusCode::kCorruption);
+}
+
+TEST(ObjectCatalogTest, BadMagicOnSecondPageIsCorruption) {
+  ExpectCorruptionEverywhere([](char* p) { p[0] ^= 0x5A; }, ChainName(200));
+}
+
+TEST(ObjectCatalogTest, UsedPastPageOnSecondPageIsCorruption) {
+  ExpectCorruptionEverywhere([](char* p) { SetPageUsed(p, 4096 - 12 + 1); },
+                             ChainName(200));
+}
+
+TEST(ObjectCatalogTest, TruncatedEntryAfterMatchIsCorruption) {
+  // Shrinking `used` by one byte truncates the page's last entry (name
+  // 279); the probe is the entry just before it.
+  ExpectCorruptionEverywhere(
+      [](char* p) { SetPageUsed(p, static_cast<uint16_t>(PageUsed(p) - 1)); },
+      ChainName(278));
+}
+
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Pins the catalog's metered I/O, the pool's counters and the bytes of
+// every catalog page over a deterministic script of creates (all three
+// engines, names of 4..43 bytes), drops from the middle of the chain,
+// duplicate creates and lookups of present and absent names. The values
+// come from a catalog that copied each page into owned entries and
+// rewrote it whole, the reference for the page format: a catalog that
+// fixes, flushes, allocates or frees other pages, in another order, or
+// writes other bytes, fails here.
+TEST(ObjectCatalogTest, GoldenIoAndPageBytes) {
+  auto made = Database::Create();
+  ASSERT_TRUE(made.ok());
+  Database* db = made->get();
+  uint64_t state = 0x9E3779B97F4A7C15ULL;
+  auto next = [&state] {  // SplitMix64
+    uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+  };
+  const Engine engines[] = {Engine::kEsm, Engine::kEos, Engine::kStarburst};
+  std::vector<std::pair<std::string, ObjectId>> live;
+  for (int i = 0; i < 1500; ++i) {
+    std::string name = std::to_string(i) + "_";
+    const size_t len = 4 + next() % 40;
+    while (name.size() < len) name += static_cast<char>('a' + next() % 26);
+    auto id = db->CreateObject(name, engines[i % 3], 4);
+    ASSERT_TRUE(id.ok()) << i;
+    live.emplace_back(name, *id);
+    if (i % 4 == 3) {  // drop from the middle third of the live set
+      const size_t victim = live.size() / 3 + next() % (live.size() / 3);
+      ASSERT_TRUE(db->DropObject(live[victim].first).ok()) << i;
+      live.erase(live.begin() + static_cast<long>(victim));
+    }
+    if (i % 25 == 24) {
+      EXPECT_EQ(db->CreateObject(live[next() % live.size()].first,
+                                 engines[next() % 3], 4)
+                    .status()
+                    .code(),
+                StatusCode::kInvalidArgument)
+          << i;
+    }
+    if (i % 10 == 9) {
+      EXPECT_EQ(db->Lookup("absent_" + std::to_string(i)).status().code(),
+                StatusCode::kNotFound);
+    }
+    if (i % 3 == 0) {
+      const auto& [probe, want] = live[next() % live.size()];
+      auto got = db->Lookup(probe);
+      ASSERT_TRUE(got.ok()) << probe;
+      EXPECT_EQ(*got, want);
+    }
+  }
+  auto size = db->catalog()->Size();
+  ASSERT_TRUE(size.ok());
+  EXPECT_EQ(*size, live.size());
+  auto pages = db->catalog()->Pages();
+  ASSERT_TRUE(pages.ok());
+  ASSERT_GE(pages->size(), 8u);
+
+  const IoStats io = db->sys()->stats();
+  const BufferPool* pool = db->sys()->pool();
+  EXPECT_EQ(io.read_calls, 11176u);
+  EXPECT_EQ(io.write_calls, 3368u);
+  EXPECT_EQ(io.pages_read, 11176u);
+  EXPECT_EQ(io.pages_written, 3368u);
+  EXPECT_EQ(pool->hits(), 5127u);
+  EXPECT_EQ(pool->misses(), 11176u);
+  EXPECT_EQ(pool->evictions(), 12299u);
+  std::vector<uint64_t> hashes;
+  for (const std::string& bytes : PageBytes(db->sys(), *pages)) {
+    hashes.push_back(Fnv1a(bytes));
+  }
+  const std::vector<uint64_t> want_hashes = {
+      0xbc786a77ad8c5b64ULL, 0xb39659f7c375d4e0ULL, 0x6537c5c5ce67661aULL,
+      0x733bf72940410c93ULL, 0x317d5e514e4bf111ULL, 0x51e15b1fb1094dadULL,
+      0xa0fdc6b5f53bf7b9ULL, 0x6a1ea2048484704bULL};
+  EXPECT_EQ(hashes, want_hashes);
 }
 
 // --------------------------------------------------------------- DiskImage

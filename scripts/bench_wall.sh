@@ -61,7 +61,6 @@ BENCHES=(
   ext_esm_insert_ablation
   ext_summary_comparison
   ext_multi_object
-  ext_concurrency
 )
 
 now_ms() { echo $(( $(date +%s%N) / 1000000 )); }

@@ -10,14 +10,10 @@ of being re-derived here. The default gate file,
 * ``metrics.cells_per_sec`` (wall clock, higher-better, 20% tolerance) —
   only meaningful on comparable hardware; the committed baseline records
   ``hardware_concurrency`` and LOB_BENCH_HOST_NOTE of its machine.
-* ``metrics_snapshot.ops.*.p99_ms`` (modeled, lower-better, 5%) —
-  deterministic tail cost per op label across all three engines; any
-  drift here is a real algorithmic change, not noise.
-* ``metrics_snapshot.ops.*.queue_p99_ms`` (modeled, lower-better, 10%,
-  **report-only**) — queue-wait tail from the disk-queue model. The
-  pinned baseline predates the queue keys, so this gate only prints
-  ``REPORT:`` notes; promote it to enforcing when the baseline is
-  refreshed from a queue-model run.
+* ``metrics_snapshot.ops.*.p99_ms`` (modeled, lower-better, exact:
+  ``max_regression`` 0) — deterministic tail cost per op label across
+  all three engines. The modeled clock has no noise, so any increase is
+  a real algorithmic change.
 
 Refresh the baseline deliberately (copy the fresh profile over
 ``results/BENCH_micro_baseline.json`` in the same PR that changes
@@ -33,11 +29,8 @@ vacuously passing on a ~1.0x "speedup".
 
 Usage: scripts/check_perf.py [--fresh PATH] [--baseline PATH]
                              [--gate PATH] [--lobtool PATH]
-                             [--tolerance FRACTION]
                              [--suite PATH] [--min-speedup X]
-``--tolerance`` overrides the cell-throughput gate's max_regression via
-a patched temporary gate file (kept for compatibility with older CI
-invocations).
+Tolerances live in the gate file only.
 Exit codes: 0 ok, 1 regression/violation, 2 missing/invalid inputs.
 """
 
@@ -46,7 +39,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 
 
 def main():
@@ -58,9 +50,6 @@ def main():
     parser.add_argument("--gate", default="scripts/perf_gates.json")
     parser.add_argument("--lobtool", default="build/tools/lobtool",
                         help="path to the lobtool binary")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="override the cell-throughput gate's "
-                             "max_regression")
     parser.add_argument("--suite", default="BENCH_suite.json",
                         help="suite profile for the jobs-scaling check "
                              "(skipped when the file is absent)")
@@ -78,32 +67,9 @@ def main():
             print(f"check_perf: missing {path}", file=sys.stderr)
             sys.exit(2)
 
-    gate_path = args.gate
-    tmp = None
-    if args.tolerance is not None:
-        try:
-            with open(args.gate) as f:
-                gates = json.load(f)
-        except (OSError, ValueError) as e:
-            print(f"check_perf: cannot read {args.gate}: {e}",
-                  file=sys.stderr)
-            sys.exit(2)
-        for gate in gates.get("gates", []):
-            if gate.get("name") == "cell-throughput":
-                gate["max_regression"] = args.tolerance
-        tmp = tempfile.NamedTemporaryFile(
-            "w", suffix=".json", delete=False)
-        json.dump(gates, tmp)
-        tmp.close()
-        gate_path = tmp.name
-
-    try:
-        proc = subprocess.run(
-            [args.lobtool, "bench-diff", args.baseline, args.fresh,
-             f"--gate={gate_path}"])
-    finally:
-        if tmp is not None:
-            os.unlink(tmp.name)
+    proc = subprocess.run(
+        [args.lobtool, "bench-diff", args.baseline, args.fresh,
+         f"--gate={args.gate}"])
     if proc.returncode == 0:
         print("check_perf: OK")
     else:

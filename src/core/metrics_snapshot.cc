@@ -60,14 +60,6 @@ MetricsSnapshot MetricsSnapshot::FromRegistry(const ObsRegistry& obs) {
       op.p99_ms = h.Quantile(0.99);
       op.max_ms = h.max();
     }
-    auto qit = obs.histograms().find(label + ".queue_ms");
-    if (qit != obs.histograms().end() && qit->second.count() > 0) {
-      const Histogram& h = qit->second;
-      op.has_queue = true;
-      op.queue_p50_ms = h.Quantile(0.5);
-      op.queue_p99_ms = h.Quantile(0.99);
-      op.queue_max_ms = h.max();
-    }
     snap.ops[label] = op;
   }
   snap.counters = obs.counters();
@@ -89,15 +81,6 @@ MetricsSnapshot MetricsSnapshot::Collect(StorageSystem* sys) {
   snap.faults.armed = sys->disk()->armed_faults();
   snap.faults.fired = sys->disk()->faults_fired();
   snap.faults.foreground_calls = sys->disk()->foreground_calls();
-  if (sys->disk()->queue_enabled()) {
-    const SimDisk::DiskQueueStats& q = sys->disk()->queue_stats();
-    snap.queue.enabled = true;
-    snap.queue.queued_calls = q.queued_calls;
-    snap.queue.delayed_calls = q.delayed_calls;
-    snap.queue.queue_ms = q.queue_ms;
-    snap.queue.max_wait_ms = q.max_wait_ms;
-    snap.queue.max_depth = q.max_depth;
-  }
   snap.areas["leaf"] = SnapshotArea(*sys->leaf_area());
   snap.areas["meta"] = SnapshotArea(*sys->meta_area());
   return snap;
@@ -151,17 +134,6 @@ std::string MetricsSnapshot::ToJson(const std::string& indent) const {
   }
   AppendF(&out, "%s%s}", first ? "" : "\n", first ? "" : in.c_str());
 
-  if (queue.enabled) {
-    section("disk_queue");
-    AppendF(&out,
-            "{\"delayed_calls\": %llu, \"max_depth\": %u, "
-            "\"max_wait_ms\": %.3f, \"queue_ms\": %.3f, "
-            "\"queued_calls\": %llu}",
-            static_cast<unsigned long long>(queue.delayed_calls),
-            queue.max_depth, queue.max_wait_ms, queue.queue_ms,
-            static_cast<unsigned long long>(queue.queued_calls));
-  }
-
   if (has_substrate) {
     section("faults");
     AppendF(&out,
@@ -177,22 +149,13 @@ std::string MetricsSnapshot::ToJson(const std::string& indent) const {
     AppendF(&out,
             "%s\n%s\"%s\": {\"count\": %llu, \"max_ms\": %llu, "
             "\"mean_ms\": %.3f, \"ms\": %.3f, \"p50_ms\": %.3f, "
-            "\"p90_ms\": %.3f, \"p99_ms\": %.3f, \"pages\": %llu",
+            "\"p90_ms\": %.3f, \"p99_ms\": %.3f, \"pages\": %llu, "
+            "\"seeks\": %llu}",
             first ? "" : ",", in2.c_str(), JsonEscape(label).c_str(),
             static_cast<unsigned long long>(op.count),
             static_cast<unsigned long long>(op.max_ms), op.mean_ms, op.io.ms,
             op.p50_ms, op.p90_ms, op.p99_ms,
-            static_cast<unsigned long long>(op.io.PagesTransferred()));
-    if (op.has_queue) {
-      // Queue-wait keys exist only in queue-model runs; they sort
-      // between "pages" and "seeks" so the block stays sorted-key.
-      AppendF(&out,
-              ", \"queue_max_ms\": %llu, \"queue_ms\": %.3f, "
-              "\"queue_p50_ms\": %.3f, \"queue_p99_ms\": %.3f",
-              static_cast<unsigned long long>(op.queue_max_ms),
-              op.io.queue_ms, op.queue_p50_ms, op.queue_p99_ms);
-    }
-    AppendF(&out, ", \"seeks\": %llu}",
+            static_cast<unsigned long long>(op.io.PagesTransferred()),
             static_cast<unsigned long long>(op.io.Seeks()));
     first = false;
   }

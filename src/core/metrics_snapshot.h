@@ -38,13 +38,6 @@ struct MetricsSnapshot {
     double p50_ms = 0, p90_ms = 0, p99_ms = 0;
     uint64_t max_ms = 0;
     bool has_histogram = false;  ///< false for ledger-only labels
-    /// Queue-wait percentiles from the `<label>.queue_ms` histogram.
-    /// Present only in queue-model runs (multi-client concurrency); the
-    /// keys are omitted from the JSON otherwise, so single-client
-    /// snapshots are byte-identical to the pre-queue schema.
-    bool has_queue = false;
-    double queue_p50_ms = 0, queue_p99_ms = 0;
-    uint64_t queue_max_ms = 0;
   };
 
   /// Buddy-allocator state of one database area.
@@ -69,23 +62,10 @@ struct MetricsSnapshot {
     uint64_t foreground_calls = 0;
   };
 
-  /// Modeled disk-queue totals (SimDisk::queue_stats()). Emitted as a
-  /// "disk_queue" section only when the queue model was enabled, keeping
-  /// the baseline schema stable.
-  struct QueueStats {
-    bool enabled = false;
-    uint64_t queued_calls = 0;
-    uint64_t delayed_calls = 0;
-    double queue_ms = 0;
-    double max_wait_ms = 0;
-    uint32_t max_depth = 0;
-  };
-
   std::map<std::string, OpStats> ops;
   std::map<std::string, uint64_t> counters;
   PoolStats pool;
   FaultStats faults;
-  QueueStats queue;
   std::map<std::string, AreaStats> areas;  ///< "leaf", "meta"
   /// True when pool/faults/areas were populated (Collect); a registry-
   /// only snapshot (FromRegistry) leaves them out of the JSON.

@@ -23,12 +23,6 @@ struct IoStats {
   uint64_t pages_read = 0;    ///< total pages transferred by reads
   uint64_t pages_written = 0; ///< total pages transferred by writes
   double ms = 0.0;            ///< modeled service time (seek + transfer), ms
-  /// Modeled queueing delay: time calls spent waiting behind earlier
-  /// requests for the single disk arm. Zero unless the disk's queue model
-  /// is enabled (SimDisk::EnableQueue) and clients actually contend.
-  /// Charged separately from `ms` so the paper's isolated-op cost model
-  /// is unchanged: total latency = ms + queue_ms.
-  double queue_ms = 0.0;
 
   /// Total disk accesses; the paper counts one seek per access.
   uint64_t Seeks() const { return read_calls + write_calls; }
@@ -40,7 +34,6 @@ struct IoStats {
     pages_read += o.pages_read;
     pages_written += o.pages_written;
     ms += o.ms;
-    queue_ms += o.queue_ms;
     return *this;
   }
 
@@ -60,7 +53,6 @@ struct IoStats {
     a.pages_read -= b.pages_read;
     a.pages_written -= b.pages_written;
     a.ms -= b.ms;
-    a.queue_ms -= b.queue_ms;
     return a;
   }
 

@@ -11,18 +11,13 @@ namespace lob {
 
 std::string IoStats::ToString() const {
   char buf[200];
-  int n = std::snprintf(
+  std::snprintf(
       buf, sizeof(buf),
       "reads=%llu writes=%llu pages_r=%llu pages_w=%llu ms=%.1f",
       static_cast<unsigned long long>(read_calls),
       static_cast<unsigned long long>(write_calls),
       static_cast<unsigned long long>(pages_read),
       static_cast<unsigned long long>(pages_written), ms);
-  if (queue_ms > 0 && n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
-    // Only queue-model runs carry waits; everyone else keeps the old form.
-    std::snprintf(buf + n, sizeof(buf) - static_cast<size_t>(n),
-                  " queue_ms=%.1f", queue_ms);
-  }
   return buf;
 }
 
@@ -40,20 +35,6 @@ void SimDisk::ResetStats() {
   if (obs_ != nullptr) obs_->ResetAttribution();
 }
 
-void SimDisk::BeginQueuedOp(double arrival_ms) {
-  if (!queue_enabled_) return;
-  LOB_CHECK(!queued_op_open_);  // brackets must not nest
-  queued_op_open_ = true;
-  op_clock_ms_ = arrival_ms;
-}
-
-double SimDisk::EndQueuedOp() {
-  if (!queue_enabled_) return 0.0;
-  LOB_CHECK(queued_op_open_);
-  queued_op_open_ = false;
-  return op_clock_ms_;
-}
-
 void SimDisk::AccountCall(bool is_read, uint32_t n_pages) {
   IoStats call;
   if (is_read) {
@@ -67,32 +48,6 @@ void SimDisk::AccountCall(bool is_read, uint32_t n_pages) {
 #if LOB_TRACING
   const double start_ms = stats_.ms;  // modeled clock before this call
 #endif
-  if (queue_enabled_ && queued_op_open_ && attribution_suspended_ == 0) {
-    // Discrete-event queue: the request arrives at the op's logical clock
-    // and waits while the arm is still serving earlier requests. Waits are
-    // charged to queue_ms only — call.ms stays pure seek+transfer, so the
-    // paper's isolated-op figures are untouched.
-    const double start = std::max(op_clock_ms_, arm_free_at_ms_);
-    call.queue_ms = start - op_clock_ms_;
-    // Backlog depth at issue: accepted requests still in service after
-    // this request's arrival, plus this request.
-    while (!inflight_completions_.empty() &&
-           inflight_completions_.front() <= op_clock_ms_) {
-      inflight_completions_.pop_front();
-    }
-    const double completion = start + call.ms;
-    inflight_completions_.push_back(completion);
-    const auto depth = static_cast<uint32_t>(inflight_completions_.size());
-    op_clock_ms_ = completion;
-    arm_free_at_ms_ = completion;
-    ++queue_stats_.queued_calls;
-    if (call.queue_ms > 0) ++queue_stats_.delayed_calls;
-    queue_stats_.queue_ms += call.queue_ms;
-    if (call.queue_ms > queue_stats_.max_wait_ms) {
-      queue_stats_.max_wait_ms = call.queue_ms;
-    }
-    if (depth > queue_stats_.max_depth) queue_stats_.max_depth = depth;
-  }
   stats_ += call;
   if (attribution_suspended_ == 0) {
     if (obs_ != nullptr) {
@@ -105,14 +60,6 @@ void SimDisk::AccountCall(bool is_read, uint32_t n_pages) {
     }
 #if LOB_TRACING
     if (trace_ != nullptr) {
-      if (call.queue_ms > 0) {
-        // Queue-wait annotation: a closed phase leaf spanning the wait,
-        // recorded just before the io leaf it delayed. kIo-only rollups
-        // (span<->ledger conservation) are unaffected.
-        const size_t span =
-            trace_->BeginSpan("disk.queue_wait", SpanKind::kPhase, start_ms);
-        trace_->EndSpan(span, start_ms + call.queue_ms);
-      }
       trace_->RecordIo(is_read, n_pages, start_ms, call.ms);
     }
 #endif

@@ -16,7 +16,6 @@
 #define LOB_IOMODEL_SIM_DISK_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -110,54 +109,6 @@ class SimDisk {
   /// nullptr when the page was never written. Not part of the simulated
   /// I/O path.
   const char* PeekPage(AreaId area, PageId page) const;
-
-  // ---- Modeled disk queue (multi-client concurrency) ----
-  //
-  // The paper's cost model charges each op in isolation. When many logical
-  // clients share one database the single disk arm serializes their
-  // requests, so requests also *wait*. The queue model is a discrete-event
-  // simulation layered on the existing accounting: the scheduler brackets
-  // each op with BeginQueuedOp(arrival)/EndQueuedOp(), and every metered
-  // call issued inside the bracket is charged
-  //
-  //   queue_ms = max(0, arm_free_at - op_clock)
-  //
-  // separately from its seek+transfer service time (IoStats::ms is
-  // untouched, so all single-client figures are unchanged). The op clock
-  // then advances past the wait and the service, and the arm stays busy
-  // until the call completes — later requests from any client queue
-  // behind it. Everything is a pure function of the issue order, so output
-  // stays byte-identical per seed at any --jobs. Disabled by default;
-  // when disabled (or outside a bracket, or while attribution is
-  // suspended) behaviour is bit-identical to the pre-queue disk.
-
-  /// Aggregate queue-model counters (never reset; observability only).
-  struct DiskQueueStats {
-    uint64_t queued_calls = 0;   ///< metered calls issued inside queued ops
-    uint64_t delayed_calls = 0;  ///< of those, calls that actually waited
-    double queue_ms = 0.0;       ///< total modeled wait, milliseconds
-    double max_wait_ms = 0.0;    ///< largest single-call wait
-    uint32_t max_depth = 0;      ///< deepest arm backlog seen at issue time
-  };
-
-  /// Turns the queue model on for the life of the disk.
-  void EnableQueue() { queue_enabled_ = true; }
-  bool queue_enabled() const { return queue_enabled_; }
-
-  /// Opens a queued op whose first request arrives at modeled time
-  /// `arrival_ms` (the issuing client's logical clock). Brackets must not
-  /// nest. No-op unless EnableQueue() was called.
-  void BeginQueuedOp(double arrival_ms);
-
-  /// Closes the current queued op and returns its completion time: the
-  /// moment its last I/O call finished service (its arrival time if it
-  /// issued none). The caller advances the client's logical clock to it.
-  double EndQueuedOp();
-
-  /// Modeled time at which the arm finishes its last accepted request.
-  double arm_free_at_ms() const { return arm_free_at_ms_; }
-
-  const DiskQueueStats& queue_stats() const { return queue_stats_; }
 
   // ---- Failure injection (see iomodel/fault_model.h) ----
   //
@@ -287,16 +238,6 @@ class SimDisk {
   StorageConfig config_;
   std::vector<Area> areas_;
   IoStats stats_;
-  // Queue-model state (see the section comment above). The in-flight
-  // deque holds completion times of accepted requests, monotone
-  // increasing; entries at or before a new request's arrival are dropped
-  // so its size is the arm backlog depth at issue.
-  bool queue_enabled_ = false;
-  bool queued_op_open_ = false;
-  double op_clock_ms_ = 0.0;
-  double arm_free_at_ms_ = 0.0;
-  DiskQueueStats queue_stats_;
-  std::deque<double> inflight_completions_;
   std::vector<ArmedFault> faults_;
   uint64_t foreground_calls_ = 0;
   uint64_t faults_fired_ = 0;

@@ -66,7 +66,6 @@ struct Gate {
   std::string pattern;
   BenchDiff::Direction direction = BenchDiff::Direction::kUnknown;
   double max_regression = 0.0;
-  bool report_only = false;
   int matched = 0;
 };
 
@@ -160,7 +159,6 @@ StatusOr<BenchDiff> BenchDiff::Compare(const JsonValue& a, const JsonValue& b,
         return Status::InvalidArgument("gate " + gate.name +
                                        ": negative max_regression");
       }
-      gate.report_only = g.BoolOr("report_only", false);
       parsed_gates.push_back(gate);
     }
   }
@@ -196,15 +194,10 @@ StatusOr<BenchDiff> BenchDiff::Compare(const JsonValue& a, const JsonValue& b,
       row.gate_name = gate.name;
       row.direction = gate.direction;
       if (!row.in_a || !row.in_b) {
-        const std::string msg =
+        row.violation = true;
+        d.violations_.push_back(
             "gate " + gate.name + ": metric " + metric +
-            (row.in_a ? " missing from new run" : " missing from baseline");
-        if (gate.report_only) {
-          d.notes_.push_back(msg);
-        } else {
-          row.violation = true;
-          d.violations_.push_back(msg);
-        }
+            (row.in_a ? " missing from new run" : " missing from baseline"));
         continue;
       }
       const bool bad =
@@ -217,12 +210,8 @@ StatusOr<BenchDiff> BenchDiff::Compare(const JsonValue& a, const JsonValue& b,
                       "gate %s: %s %.6g -> %.6g (%+.2f%%, allowed %.0f%%)",
                       gate.name.c_str(), metric.c_str(), row.a, row.b,
                       row.rel_delta * 100.0, gate.max_regression * 100.0);
-        if (gate.report_only) {
-          d.notes_.push_back(msg);
-        } else {
-          row.violation = true;
-          d.violations_.push_back(msg);
-        }
+        row.violation = true;
+        d.violations_.push_back(msg);
       }
     }
 
@@ -240,14 +229,9 @@ StatusOr<BenchDiff> BenchDiff::Compare(const JsonValue& a, const JsonValue& b,
 
   for (const auto& gate : parsed_gates) {
     if (gate.matched == 0) {
-      const std::string msg = "gate " + gate.name + ": pattern \"" +
+      d.violations_.push_back("gate " + gate.name + ": pattern \"" +
                               gate.pattern + "\" matched no metric in "
-                              "either run (rotted gate)";
-      if (gate.report_only) {
-        d.notes_.push_back(msg);
-      } else {
-        d.violations_.push_back(msg);
-      }
+                              "either run (rotted gate)");
     }
   }
   return d;
@@ -303,7 +287,6 @@ std::string BenchDiff::ToTable() const {
           violations_.size());
   out += ZeroDrift() ? " (zero drift)\n" : "\n";
   for (const auto& v : violations_) out += "VIOLATION: " + v + "\n";
-  for (const auto& n : notes_) out += "REPORT: " + n + "\n";
   return out;
 }
 
@@ -343,12 +326,6 @@ std::string BenchDiff::ToJson() const {
   first = true;
   for (const auto& v : violations_) {
     AppendF(&out, "%s\n    \"%s\"", first ? "" : ",", JsonEscape(v).c_str());
-    first = false;
-  }
-  out += "\n  ],\n  \"notes\": [";
-  first = true;
-  for (const auto& n : notes_) {
-    AppendF(&out, "%s\n    \"%s\"", first ? "" : ",", JsonEscape(n).c_str());
     first = false;
   }
   out += "\n  ]\n}\n";

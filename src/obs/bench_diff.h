@@ -21,15 +21,6 @@
 // metric at all is a violation too — a gate that silently stops
 // matching is a rotted gate, not a passing one.
 //
-// A gate may additionally set "report_only": true. Such a gate is
-// evaluated exactly like an enforcing one, but everything it would flag
-// (regressions, metrics missing from one side, a pattern matching
-// nothing) lands in notes() instead of violations(), so it never fails
-// CI. This is the on-ramp for metrics that newer runs emit but the
-// pinned baseline predates — e.g. the queue-wait percentiles the
-// concurrency model added — until the baseline is refreshed and the
-// gate can be promoted to enforcing.
-//
 // Wall-clock metrics (*wall_ms*, *_per_sec, host fields) differ between
 // runs on real hardware; modeled metrics are deterministic. Diffing a
 // run against itself therefore reports zero drift on every row, which
@@ -87,9 +78,6 @@ class BenchDiff {
   const std::vector<Row>& rows() const { return rows_; }  ///< sorted by metric
   int gates_checked() const { return gates_checked_; }
   const std::vector<std::string>& violations() const { return violations_; }
-  /// Findings from report_only gates: same wording as violations, but
-  /// informational — they never make HasViolations() true.
-  const std::vector<std::string>& notes() const { return notes_; }
   bool HasViolations() const { return !violations_.empty(); }
   /// True when every row has abs_delta == 0 (a run diffed against itself).
   bool ZeroDrift() const;
@@ -107,7 +95,6 @@ class BenchDiff {
   std::vector<Row> rows_;
   int gates_checked_ = 0;
   std::vector<std::string> violations_;
-  std::vector<std::string> notes_;
 };
 
 }  // namespace lob

@@ -94,7 +94,7 @@ uint64_t Histogram::BucketLowerBound(int i) {
 }
 
 void ObsRegistry::RecordOpEnd(const char* label, const IoStats& op_delta,
-                              bool record_queue) {
+                              bool /*unused*/) {
   // One heterogeneous lookup per op end; the label's ledger record and
   // histogram destinations are resolved (and their name strings built)
   // only the first time the label is seen.
@@ -114,11 +114,6 @@ void ObsRegistry::RecordOpEnd(const char* label, const IoStats& op_delta,
       static_cast<uint64_t>(std::llround(op_delta.ms < 0 ? 0 : op_delta.ms)));
   e.seeks->Add(op_delta.Seeks());
   e.pages->Add(op_delta.PagesTransferred());
-  if (record_queue) {
-    if (e.queue == nullptr) e.queue = &Histo(std::string(label) + ".queue_ms");
-    e.queue->Add(static_cast<uint64_t>(
-        std::llround(op_delta.queue_ms < 0 ? 0 : op_delta.queue_ms)));
-  }
 }
 
 IoStats ObsRegistry::AttributedTotal() const {
@@ -133,9 +128,7 @@ bool ObsRegistry::ConservationHolds(const IoStats& global) const {
          sum.write_calls == global.write_calls &&
          sum.pages_read == global.pages_read &&
          sum.pages_written == global.pages_written &&
-         std::fabs(sum.ms - global.ms) < 1e-6 * (1.0 + std::fabs(global.ms)) &&
-         std::fabs(sum.queue_ms - global.queue_ms) <
-             1e-6 * (1.0 + std::fabs(global.queue_ms));
+         std::fabs(sum.ms - global.ms) < 1e-6 * (1.0 + std::fabs(global.ms));
 }
 
 void ObsRegistry::MergeFrom(const ObsRegistry& other) {

@@ -114,12 +114,13 @@ class ObsRegistry {
   /// Records the end of one operation: bumps the label's count and feeds
   /// the per-op histograms (<label>.ms / .seeks / .pages). `op_delta` is
   /// the global-IoStats delta across the operation (nested scopes
-  /// included). With `record_queue` set (OpScope passes the disk's
-  /// queue-model flag) the op's modeled queueing delay additionally feeds
-  /// a <label>.queue_ms histogram — queue-disabled runs create no such
-  /// histograms, keeping their export bytes unchanged. Called by OpScope.
-  void RecordOpEnd(const char* label, const IoStats& op_delta,
-                   bool record_queue = false);
+  /// included). Called by OpScope.
+  ///
+  /// The trailing `bool` is unused. It stays only to keep the mangled
+  /// symbol `_ZN3lob11ObsRegistry11RecordOpEndEPKcRKNS_7IoStatsEb`, which
+  /// perfbench's traced build wraps by name (perfbench/lobbench/wrap.cc);
+  /// dropping it would rename the symbol and break that build.
+  void RecordOpEnd(const char* label, const IoStats& op_delta, bool = false);
 
   const std::map<std::string, OpRecord>& ops() const { return ops_; }
   const std::map<std::string, uint64_t>& counters() const {
@@ -171,7 +172,6 @@ class ObsRegistry {
     Histogram* ms = nullptr;
     Histogram* seeks = nullptr;
     Histogram* pages = nullptr;
-    Histogram* queue = nullptr;  ///< resolved lazily, queue-model runs only
   };
 
   std::map<std::string, OpRecord> ops_;

@@ -81,8 +81,7 @@ class OpScope {
 #endif
     ObsRegistry* obs = disk_->obs();
     if (obs == nullptr) return;
-    obs->RecordOpEnd(label_, IoStats::Delta(start_, disk_->stats()),
-                     /*record_queue=*/disk_->queue_enabled());
+    obs->RecordOpEnd(label_, IoStats::Delta(start_, disk_->stats()));
   }
 
   OpScope(const OpScope&) = delete;

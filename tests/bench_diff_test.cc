@@ -134,46 +134,6 @@ TEST(BenchDiffTest, RottedGateIsAViolation) {
   EXPECT_NE(d->violations()[0].find("gone"), std::string::npos);
 }
 
-// A report_only gate is evaluated like an enforcing one, but every
-// finding — regression, one-sided metric, rotted pattern — lands in
-// notes() and never fails the diff. This is how a gate rides along
-// before the pinned baseline carries its metric (e.g. queue-wait p99).
-TEST(BenchDiffTest, ReportOnlyGateNeverViolates) {
-  const JsonValue gates = MustParse(
-      R"({"gates": [{"name": "q99", "metric": "ops.*.queue_p99_ms",
-                     "direction": "lower", "max_regression": 0.1,
-                     "report_only": true}]})");
-  // Regression beyond the ceiling plus a metric absent from baseline:
-  // both would be violations for an enforcing gate.
-  const JsonValue a = MustParse(
-      R"({"ops": {"read": {"queue_p99_ms": 10.0}}})");
-  const JsonValue b = MustParse(
-      R"({"ops": {"read": {"queue_p99_ms": 20.0},
-                  "insert": {"queue_p99_ms": 5.0}}})");
-  auto d = BenchDiff::Compare(a, b, &gates);
-  ASSERT_TRUE(d.ok());
-  EXPECT_FALSE(d->HasViolations());
-  EXPECT_TRUE(d->violations().empty());
-  ASSERT_EQ(d->notes().size(), 2u);
-  EXPECT_NE(d->notes()[0].find("missing from baseline"), std::string::npos);
-  EXPECT_NE(d->notes()[1].find("read"), std::string::npos);
-  for (const auto& row : d->rows()) EXPECT_FALSE(row.violation);
-  // Notes render in the table ("REPORT:") and JSON ("notes") outputs.
-  EXPECT_NE(d->ToTable().find("REPORT: "), std::string::npos);
-  EXPECT_NE(d->ToJson().find("\"notes\""), std::string::npos);
-
-  // Rotted report_only gate: a note, not a violation.
-  const JsonValue rotted = MustParse(
-      R"({"gates": [{"name": "gone", "metric": "no.such.leaf",
-                     "direction": "lower", "max_regression": 0.1,
-                     "report_only": true}]})");
-  auto r = BenchDiff::Compare(a, a, &rotted);
-  ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r->HasViolations());
-  ASSERT_EQ(r->notes().size(), 1u);
-  EXPECT_NE(r->notes()[0].find("rotted gate"), std::string::npos);
-}
-
 TEST(BenchDiffTest, OneSidedMetricsAreReported) {
   const JsonValue a = MustParse(R"({"old_only": 1.0, "both": 2.0})");
   const JsonValue b = MustParse(R"({"new_only": 3.0, "both": 2.0})");

@@ -7,9 +7,14 @@
 // The operations are chosen to hit the allocation-heavy paths the
 // seed code leaked on: Starburst doubling growth and tail rebuilds,
 // ESM leaf splits, EOS segment shuffles/merges, and shadowed replaces.
+//
+// The interleaved tests drive four objects on one buffer pool, one
+// trace op at a time in round-robin order, so every engine's pages of
+// different objects share frames, evictions and the allocator.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -22,6 +27,7 @@
 #include "core/factory.h"
 #include "core/storage_system.h"
 #include "iomodel/fault_model.h"
+#include "workload/trace.h"
 
 namespace lob {
 namespace {
@@ -69,8 +75,45 @@ std::vector<NamedOp> StructuralOps() {
   };
 }
 
+/// Four seeded update-mix traces (paper 4.4 shape), one per object.
+std::vector<Trace> InterleavedTraces() {
+  std::vector<Trace> traces;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    MixSpec mix;
+    mix.total_ops = 50;
+    mix.mean_op_bytes = 8000;
+    mix.seed = seed;
+    traces.push_back(GenerateUpdateMixTrace(64 * 1024, 32 * 1024, mix));
+  }
+  return traces;
+}
+
+/// Applies trace k to object ids[k], one op at a time in round-robin
+/// order over the objects. Stops at the first failed op.
+Status ApplyRoundRobin(StorageSystem* sys, LargeObjectManager* mgr,
+                       const std::vector<ObjectId>& ids,
+                       const std::vector<Trace>& traces) {
+  size_t longest = 0;
+  for (const Trace& t : traces) longest = std::max(longest, t.ops.size());
+  for (size_t i = 0; i < longest; ++i) {
+    for (size_t k = 0; k < traces.size(); ++k) {
+      if (i >= traces[k].ops.size()) continue;
+      Trace one;
+      one.ops.push_back(traces[k].ops[i]);
+      LOB_RETURN_IF_ERROR(ApplyTrace(sys, mgr, ids[k], one).status());
+    }
+  }
+  return Status::OK();
+}
+
 class FaultRecoveryTest : public ::testing::TestWithParam<int> {
  protected:
+  /// Label prefix of the engine's OpScopes ("esm.insert", ...).
+  const char* EngineName() const {
+    static constexpr const char* kNames[] = {"esm", "starburst", "eos"};
+    return kNames[GetParam()];
+  }
+
   std::unique_ptr<LargeObjectManager> MakeManager(StorageSystem* sys) {
     switch (GetParam()) {
       case 0:
@@ -174,6 +217,85 @@ TEST_P(FaultRecoveryTest, FailedCreateLeaksNothing) {
         << "k=" << k << " (create: " << id.status().ToString() << ")\n"
         << report->ToString();
   }
+}
+
+TEST_P(FaultRecoveryTest, InterleavedObjectsStayFsckCleanAndExact) {
+  StorageSystem sys;
+  auto mgr = MakeManager(&sys);
+  const std::vector<Trace> traces = InterleavedTraces();
+  std::vector<ObjectId> ids;
+  for (size_t k = 0; k < traces.size(); ++k) {
+    auto id = mgr->Create();
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+  }
+  const Status s = ApplyRoundRobin(&sys, mgr.get(), ids, traces);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+
+  std::vector<std::pair<ObjectId, LargeObjectManager*>> objects;
+  for (size_t k = 0; k < ids.size(); ++k) {
+    const Status v = VerifyTrace(mgr.get(), ids[k], traces[k]);
+    EXPECT_TRUE(v.ok()) << "object " << k << ": " << v.ToString();
+    objects.emplace_back(ids[k], mgr.get());
+  }
+  auto report = FsckObjects(&sys, objects);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->clean()) << report->ToString();
+  EXPECT_TRUE(sys.obs()->ConservationHolds(sys.stats()));
+}
+
+// A fault countdown ticks on issue order, and interleaving the objects
+// does not change that order between runs: an armed fault fails the same
+// call of the same op every time, and both runs pay the same I/O.
+TEST_P(FaultRecoveryTest, SeededFaultFiresAtSameCallAcrossInterleavedObjects) {
+  struct Run {
+    Status status;
+    uint64_t faults_fired = 0;
+    uint64_t foreground_calls = 0;
+    IoStats io;
+  };
+  const std::vector<Trace> traces = InterleavedTraces();
+  auto once = [&] {
+    StorageSystem sys;
+    auto mgr = MakeManager(&sys);
+    std::vector<ObjectId> ids;
+    for (size_t k = 0; k < traces.size(); ++k) {
+      auto id = mgr->Create();
+      LOB_CHECK_OK(id.status());
+      ids.push_back(*id);
+    }
+    FaultSpec fault;
+    fault.kind = FaultKind::kOneShot;
+    fault.after_calls = 5;
+    // Inserts only, so the fault skips the build-phase appends and fires
+    // inside the mix.
+    fault.op_prefix = std::string(EngineName()) + ".insert";
+    // Reads only: a failed read always propagates out of the insert,
+    // while some directory *writes* are deliberately absorbed by the
+    // allocator's deferred-sync recovery path.
+    fault.match_writes = false;
+    sys.disk()->ArmFault(fault);
+    Run run;
+    run.status = ApplyRoundRobin(&sys, mgr.get(), ids, traces);
+    run.faults_fired = sys.disk()->faults_fired();
+    run.foreground_calls = sys.disk()->foreground_calls();
+    run.io = sys.stats();
+    return run;
+  };
+  const Run a = once();
+  const Run b = once();
+  EXPECT_NE(a.status.message().find("(insert) failed: injected I/O failure"),
+            std::string::npos)
+      << "fault did not fail an insert of the mix: " << a.status.ToString();
+  EXPECT_EQ(a.status.ToString(), b.status.ToString());
+  EXPECT_EQ(a.faults_fired, 1u);
+  EXPECT_EQ(b.faults_fired, 1u);
+  EXPECT_EQ(a.foreground_calls, b.foreground_calls);
+  EXPECT_EQ(a.io.read_calls, b.io.read_calls);
+  EXPECT_EQ(a.io.write_calls, b.io.write_calls);
+  EXPECT_EQ(a.io.pages_read, b.io.pages_read);
+  EXPECT_EQ(a.io.pages_written, b.io.pages_written);
+  EXPECT_EQ(a.io.ms, b.io.ms);
 }
 
 std::string EngineLabel(const ::testing::TestParamInfo<int>& info) {

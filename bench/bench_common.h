@@ -21,8 +21,7 @@
 //                      stream on the modeled clock and write one merged
 //                      Chrome trace-event / Perfetto JSON file; per-job
 //                      buffers merge in submission order, so the bytes are
-//                      identical for every --jobs value. No-op spans when
-//                      the build has LOB_TRACING=OFF.
+//                      identical for every --jobs value.
 //   --timeline=PATH    (mix benches) write per-configuration storage-state
 //                      timelines (utilization, fragmentation histogram,
 //                      segment size distribution) as one CSV file
@@ -48,7 +47,6 @@
 #include "exec/thread_pool.h"
 #include "trace/timeline.h"
 #include "trace/trace_session.h"
-#include "trace/tracing.h"
 #include "workload/workload.h"
 
 namespace lob::bench {
@@ -182,13 +180,6 @@ struct BenchArgs {
     args.timeline = FlagValueString(argc, argv, "timeline", "");
     args.timeline_every = static_cast<uint32_t>(
         FlagValue(argc, argv, "timeline-every", args.window));
-#if !LOB_TRACING
-    if (!args.trace.empty()) {
-      std::fprintf(stderr,
-                   "warning: --trace: span tracing compiled out "
-                   "(LOB_TRACING=OFF); the trace will contain no spans\n");
-    }
-#endif
     return args;
   }
 };

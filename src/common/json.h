@@ -2,7 +2,8 @@
 // bench-diff engine to load BENCH_*.json profiles and gate files. No
 // third-party dependency: the container only needs to read back the
 // JSON its own exporters write (numbers, strings, bools, arrays,
-// objects), so a few hundred lines suffice.
+// objects), so a few hundred lines suffice. The two writer helpers every
+// exporter shares, JsonEscape and AppendF, live here too.
 //
 // Determinism note: objects are std::map (sorted keys), so iterating a
 // parsed document — and therefore every report derived from one — is
@@ -14,11 +15,22 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 
 namespace lob {
+
+/// Escapes `s` for use inside a JSON string literal: `"` and `\`, and
+/// every byte below 0x20 (as \b \f \n \r \t or \u00XX). Strings without
+/// those bytes come back unchanged.
+std::string JsonEscape(std::string_view s);
+
+/// Appends printf-style formatted text to `*out`, growing it to fit:
+/// output is never truncated.
+void AppendF(std::string* out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
 
 /// One JSON value. Numbers are stored as double (the exporters only
 /// write doubles and 53-bit-safe integers).

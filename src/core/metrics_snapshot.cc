@@ -1,35 +1,16 @@
 #include "core/metrics_snapshot.h"
 
-#include <cstdarg>
 #include <cstdio>
 
 #include "buddy/database_area.h"
 #include "buffer/buffer_pool.h"
+#include "common/json.h"
 #include "core/storage_system.h"
 #include "iomodel/sim_disk.h"
 
 namespace lob {
 
 namespace {
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out->append(buf);
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 MetricsSnapshot::AreaStats SnapshotArea(const DatabaseArea& area) {
   MetricsSnapshot::AreaStats s;

@@ -3,35 +3,9 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/json.h"
+
 namespace lob {
-
-namespace {
-
-void AppendEscaped(const std::string& s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      default:
-        *out += c;
-    }
-  }
-}
-
-void AppendNumber(double v, std::string* out) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  *out += buf;
-}
-
-}  // namespace
 
 std::string BenchProfile::MakeHostNote() {
   const char* note = std::getenv("LOB_BENCH_HOST_NOTE");
@@ -52,27 +26,27 @@ double BenchProfile::CellModeledMsTotal() const {
 
 std::string BenchProfile::ToJson() const {
   std::string out = "{\n  \"bench\": \"";
-  AppendEscaped(bench_, &out);
+  out += JsonEscape(bench_);
   out += "\",\n  \"schema_version\": " + std::to_string(kSchemaVersion);
   out += ",\n  \"jobs\": " + std::to_string(jobs_);
   out += ",\n  \"hardware_concurrency\": " +
          std::to_string(hardware_concurrency_);
   out += ",\n  \"host_note\": \"";
-  AppendEscaped(host_note_, &out);
+  out += JsonEscape(host_note_);
   out += "\",\n  \"suite_wall_ms\": ";
-  AppendNumber(suite_wall_ms_, &out);
+  AppendF(&out, "%.3f", suite_wall_ms_);
   out += ",\n  \"cell_wall_ms_total\": ";
-  AppendNumber(CellWallMsTotal(), &out);
+  AppendF(&out, "%.3f", CellWallMsTotal());
   out += ",\n  \"cell_modeled_ms_total\": ";
-  AppendNumber(CellModeledMsTotal(), &out);
+  AppendF(&out, "%.3f", CellModeledMsTotal());
   if (!metrics_.empty()) {
     out += ",\n  \"metrics\": {";
     for (size_t i = 0; i < metrics_.size(); ++i) {
       out += i == 0 ? "" : ", ";
       out += "\"";
-      AppendEscaped(metrics_[i].first, &out);
+      out += JsonEscape(metrics_[i].first);
       out += "\": ";
-      AppendNumber(metrics_[i].second, &out);
+      AppendF(&out, "%.3f", metrics_[i].second);
     }
     out += "}";
   }
@@ -83,11 +57,11 @@ std::string BenchProfile::ToJson() const {
   for (size_t i = 0; i < cells_.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"config\": \"";
-    AppendEscaped(cells_[i].config, &out);
+    out += JsonEscape(cells_[i].config);
     out += "\", \"wall_ms\": ";
-    AppendNumber(cells_[i].wall_ms, &out);
+    AppendF(&out, "%.3f", cells_[i].wall_ms);
     out += ", \"modeled_ms\": ";
-    AppendNumber(cells_[i].modeled_ms, &out);
+    AppendF(&out, "%.3f", cells_[i].modeled_ms);
     if (!cells_[i].snapshot_json.empty()) {
       out += ", \"metrics_snapshot\": " + cells_[i].snapshot_json;
     }

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "check/fsck.h"
+#include "common/json.h"
 #include "common/lock_order.h"
 #include "common/logging.h"
 #include "common/thread_annotations.h"
@@ -172,13 +173,10 @@ uint64_t CampaignResult::CountOutcome(CellOutcome outcome) const {
 
 std::string CampaignResult::ToCsv() const {
   std::string out = "engine,fail_after,failed_op,op_kind,outcome,detail\n";
-  char row[512];
   for (const CampaignCell& c : cells) {
-    std::snprintf(row, sizeof(row), "%s,%" PRIu64 ",%s,%s,%s,%s\n",
-                  EngineName(c.engine), c.fail_after, c.failed_op.c_str(),
-                  c.op_kind.c_str(), CellOutcomeName(c.outcome),
-                  c.detail.c_str());
-    out += row;
+    AppendF(&out, "%s,%" PRIu64 ",%s,%s,%s,%s\n", EngineName(c.engine),
+            c.fail_after, c.failed_op.c_str(), c.op_kind.c_str(),
+            CellOutcomeName(c.outcome), c.detail.c_str());
   }
   return out;
 }
@@ -186,35 +184,28 @@ std::string CampaignResult::ToCsv() const {
 std::string CampaignResult::ToJson() const {
   std::string out = "{\n  \"baselines\": {";
   for (size_t i = 0; i < baselines.size(); ++i) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%s\"%s\": %" PRIu64,
-                  i == 0 ? "" : ", ", EngineName(baselines[i].first),
-                  baselines[i].second);
-    out += buf;
+    AppendF(&out, "%s\"%s\": %" PRIu64, i == 0 ? "" : ", ",
+            EngineName(baselines[i].first), baselines[i].second);
   }
   out += "},\n  \"totals\": {";
   const CellOutcome kinds[] = {CellOutcome::kCleanPass,
                                CellOutcome::kCleanFail, CellOutcome::kLeak,
                                CellOutcome::kCorrupt};
   for (size_t i = 0; i < 4; ++i) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%s\"%s\": %" PRIu64,
-                  i == 0 ? "" : ", ", CellOutcomeName(kinds[i]),
-                  CountOutcome(kinds[i]));
-    out += buf;
+    AppendF(&out, "%s\"%s\": %" PRIu64, i == 0 ? "" : ", ",
+            CellOutcomeName(kinds[i]), CountOutcome(kinds[i]));
   }
   out += "},\n  \"cells\": [\n";
   for (size_t i = 0; i < cells.size(); ++i) {
     const CampaignCell& c = cells[i];
-    char buf[640];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"engine\": \"%s\", \"fail_after\": %" PRIu64
-                  ", \"failed_op\": \"%s\", \"op_kind\": \"%s\", "
-                  "\"outcome\": \"%s\", \"detail\": \"%s\"}%s\n",
-                  EngineName(c.engine), c.fail_after, c.failed_op.c_str(),
-                  c.op_kind.c_str(), CellOutcomeName(c.outcome),
-                  c.detail.c_str(), i + 1 < cells.size() ? "," : "");
-    out += buf;
+    AppendF(&out,
+            "    {\"engine\": \"%s\", \"fail_after\": %" PRIu64
+            ", \"failed_op\": \"%s\", \"op_kind\": \"%s\", "
+            "\"outcome\": \"%s\", \"detail\": \"%s\"}%s\n",
+            EngineName(c.engine), c.fail_after,
+            JsonEscape(c.failed_op).c_str(), JsonEscape(c.op_kind).c_str(),
+            CellOutcomeName(c.outcome), JsonEscape(c.detail).c_str(),
+            i + 1 < cells.size() ? "," : "");
   }
   out += "  ]\n}\n";
   return out;

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "obs/obs_registry.h"
-#include "trace/trace_session.h"
 
 namespace lob {
 
@@ -45,24 +44,14 @@ void SimDisk::AccountCall(bool is_read, uint32_t n_pages) {
     call.pages_written = n_pages;
   }
   call.ms = config_.seek_ms + n_pages * config_.PageTransferMs();
-#if LOB_TRACING
-  const double start_ms = stats_.ms;  // modeled clock before this call
-#endif
   stats_ += call;
-  if (attribution_suspended_ == 0) {
-    if (obs_ != nullptr) {
-      if (attr_rec_ == nullptr || attr_gen_ != obs_->attribution_generation()) {
-        attr_rec_ = obs_->AttributionRecord(
-            current_op_ != nullptr ? current_op_ : ObsRegistry::kUnattributed);
-        attr_gen_ = obs_->attribution_generation();
-      }
-      static_cast<ObsRegistry::OpRecord*>(attr_rec_)->io += call;
+  if (attribution_suspended_ == 0 && obs_ != nullptr) {
+    if (attr_rec_ == nullptr || attr_gen_ != obs_->attribution_generation()) {
+      attr_rec_ = obs_->AttributionRecord(
+          current_op_ != nullptr ? current_op_ : ObsRegistry::kUnattributed);
+      attr_gen_ = obs_->attribution_generation();
     }
-#if LOB_TRACING
-    if (trace_ != nullptr) {
-      trace_->RecordIo(is_read, n_pages, start_ms, call.ms);
-    }
-#endif
+    static_cast<ObsRegistry::OpRecord*>(attr_rec_)->io += call;
   }
 }
 

@@ -23,7 +23,6 @@
 #include "common/status.h"
 #include "iomodel/fault_model.h"
 #include "iomodel/io_stats.h"
-#include "trace/tracing.h"
 
 namespace lob {
 
@@ -181,22 +180,18 @@ class SimDisk {
   /// into the global stats but not charged to any label; used by
   /// StorageSystem::UnmeteredSection, which restores the global stats on
   /// exit — so conservation is preserved on both sides of the section.
-  /// Span recording is suspended with attribution: a section's I/O (whose
-  /// cost is about to be un-happened by SetStats) must not appear in the
-  /// trace either.
+  /// Span recording is suspended with attribution: no span opens inside
+  /// a section, whose cost is about to be un-happened by SetStats.
   void SuspendAttribution() { ++attribution_suspended_; }
   void ResumeAttribution() { --attribution_suspended_; }
 
   // ---- Modeled-clock span tracing (see trace/trace_session.h) ----
 
-  /// Attaches a trace session; every metered call is then recorded as a
-  /// "disk.io" span timestamped with the modeled clock, and OpScope /
-  /// LOB_TRACE_SPAN sites open op and phase spans around it. Pass nullptr
-  /// to detach. The session must outlive the disk's use of it. In
-  /// LOB_TRACING=0 builds the pointer is stored but never consulted: all
-  /// recording hooks are compiled out.
+  /// Attaches a trace session: OpScope and LOB_TRACE_SPAN sites then open
+  /// op and phase spans on this disk's stats(), each a view of the calls
+  /// metered inside it. Pass nullptr to detach. The session must outlive
+  /// the disk's use of it.
   void set_trace(TraceSession* trace) { trace_ = trace; }
-  TraceSession* trace() const { return trace_; }
 
   /// The session span sites should record into right now: the attached
   /// session, or nullptr while attribution (and hence tracing) is

@@ -1,38 +1,13 @@
 #include "obs/obs_registry.h"
 
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <string_view>
 
 #include "common/csv.h"
+#include "common/json.h"
 
 namespace lob {
-
-namespace {
-
-/// Escapes a string for inclusion in JSON (labels are plain ASCII today;
-/// quotes and backslashes are escaped defensively).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out->append(buf);
-}
-
-}  // namespace
 
 void Histogram::Add(uint64_t value) {
   buckets_[BucketIndex(value)]++;

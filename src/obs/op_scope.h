@@ -18,11 +18,11 @@
 // (sum of attributed stats == global stats) holds regardless of nesting,
 // and the outer scope's histograms still cover the full operation.
 //
-// When a TraceSession is attached to the disk (LOB_TRACING builds), the
-// scope also brackets the operation with a kOp span carrying the same
-// effective label the ledger charges, which is what lets the span<->op
-// conservation invariant (sum of child disk.io span ms == attributed ms)
-// be checked label by label.
+// When a TraceSession is attached to the disk, the scope also brackets the
+// operation with a kOp span carrying the same effective label the ledger
+// charges. The span opens on the same start snapshot the histograms use,
+// so an op span's I/O minus its nested op spans' I/O is exactly the
+// ledger's exclusive cost for that label.
 
 #ifndef LOB_OBS_OP_SCOPE_H_
 #define LOB_OBS_OP_SCOPE_H_
@@ -34,7 +34,6 @@
 #include "iomodel/sim_disk.h"
 #include "obs/obs_registry.h"
 #include "trace/trace_session.h"
-#include "trace/tracing.h"
 
 namespace lob {
 
@@ -66,19 +65,15 @@ class OpScope {
       label_ = label;
     }
     disk_->set_current_op(label_);
-#if LOB_TRACING
     if (TraceSession* t = disk_->active_trace()) {
       session_ = t;
-      span_ = t->BeginSpan(label_, SpanKind::kOp, start_.ms);
+      span_ = t->BeginSpan(label_, SpanKind::kOp, start_);
     }
-#endif
   }
 
   ~OpScope() {
     disk_->set_current_op(prev_);
-#if LOB_TRACING
-    if (session_ != nullptr) session_->EndSpan(span_, disk_->stats().ms);
-#endif
+    if (session_ != nullptr) session_->EndSpan(span_, disk_->stats());
     ObsRegistry* obs = disk_->obs();
     if (obs == nullptr) return;
     obs->RecordOpEnd(label_, IoStats::Delta(start_, disk_->stats()));
@@ -99,10 +94,8 @@ class OpScope {
   char inline_buf_[128];
   std::unique_ptr<char[]> heap_buf_;
   IoStats start_;
-#if LOB_TRACING
   TraceSession* session_ = nullptr;
   size_t span_ = 0;
-#endif
 };
 
 }  // namespace lob

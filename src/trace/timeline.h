@@ -10,9 +10,8 @@
 // ms, all gathered inside an UnmeteredSection so sampling never perturbs
 // the measured costs.
 //
-// Unlike span tracing this is not compile-time gated: sampling only
-// happens when a sampler is attached (MixSpec::timeline), which only the
-// --timeline bench flag does.
+// Sampling only happens when a sampler is attached (MixSpec::timeline),
+// which only the --timeline bench flag does.
 //
 // The CSV exporter shares RFC-4180 escaping with ObsRegistry::ToCsv; the
 // free-extent histogram serializes as "pages:count;pages:count;...".

@@ -1,42 +1,16 @@
 #include "trace/trace_session.h"
 
-#include <cstdarg>
+#include <cmath>
 
+#include "common/json.h"
 #include "common/logging.h"
 
 namespace lob {
 
 namespace {
 
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out->append(buf);
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 const char* KindCategory(SpanKind kind) {
-  switch (kind) {
-    case SpanKind::kOp:
-      return "op";
-    case SpanKind::kPhase:
-      return "phase";
-    case SpanKind::kIo:
-      return "io";
-  }
-  return "phase";
+  return kind == SpanKind::kOp ? "op" : "phase";
 }
 
 }  // namespace
@@ -51,62 +25,26 @@ uint32_t TraceSession::InternName(std::string_view name) {
 }
 
 size_t TraceSession::BeginSpan(std::string_view name, SpanKind kind,
-                               double now_ms) {
+                               const IoStats& now) {
   Event e;
   e.name_id = InternName(name);
   e.kind = kind;
-  e.start_ms = now_ms;
-  if (!stack_.empty()) {
-    e.parent = static_cast<int32_t>(stack_.back());
-    e.depth = static_cast<uint16_t>(events_[stack_.back()].depth + 1);
-  }
+  e.start_ms = now.ms;
+  e.io = now;
+  if (!stack_.empty()) e.parent = static_cast<int32_t>(stack_.back());
   const size_t index = events_.size();
   events_.push_back(e);
   stack_.push_back(index);
   return index;
 }
 
-void TraceSession::EndSpan(size_t index, double now_ms) {
+void TraceSession::EndSpan(size_t index, const IoStats& now) {
   LOB_CHECK(!stack_.empty());
   // Spans are RAII scopes, so closes arrive strictly LIFO.
   LOB_CHECK_EQ(stack_.back(), index);
   stack_.pop_back();
   Event& e = events_[index];
-  e.dur_ms = now_ms - e.start_ms;
-  if (e.dur_ms < 0) e.dur_ms = 0;  // clock restored by UnmeteredSection
-}
-
-void TraceSession::RecordIo(bool is_read, uint32_t pages, double start_ms,
-                            double dur_ms) {
-  if (io_name_id_ == UINT32_MAX) io_name_id_ = InternName("disk.io");
-  Event e;
-  e.name_id = io_name_id_;
-  e.kind = SpanKind::kIo;
-  e.is_read = is_read;
-  e.pages = pages;
-  e.start_ms = start_ms;
-  e.dur_ms = dur_ms;
-  if (!stack_.empty()) {
-    e.parent = static_cast<int32_t>(stack_.back());
-    e.depth = static_cast<uint16_t>(events_[stack_.back()].depth + 1);
-  }
-  events_.push_back(e);
-}
-
-std::map<std::string, double> TraceSession::IoMsByOp() const {
-  std::map<std::string, double> by_op;
-  for (const Event& e : events_) {
-    if (e.kind != SpanKind::kIo) continue;
-    int32_t p = e.parent;
-    while (p >= 0 && events_[static_cast<size_t>(p)].kind != SpanKind::kOp) {
-      p = events_[static_cast<size_t>(p)].parent;
-    }
-    const std::string& label =
-        p >= 0 ? Name(events_[static_cast<size_t>(p)].name_id)
-               : std::string("(unattributed)");
-    by_op[label] += e.dur_ms;
-  }
-  return by_op;
+  e.io = IoStats::Delta(e.io, now);
 }
 
 void TraceSession::AppendChromeTraceEvents(std::string* out, int pid,
@@ -129,10 +67,14 @@ void TraceSession::AppendChromeTraceEvents(std::string* out, int pid,
             "  {\"ph\": \"X\", \"pid\": %d, \"tid\": 0, \"name\": \"%s\", "
             "\"cat\": \"%s\", \"ts\": %.3f, \"dur\": %.3f",
             pid, JsonEscape(Name(e.name_id)).c_str(), KindCategory(e.kind),
-            e.start_ms * 1000.0, e.dur_ms * 1000.0);
-    if (e.kind == SpanKind::kIo) {
-      AppendF(out, ", \"args\": {\"rw\": \"%s\", \"pages\": %u}",
-              e.is_read ? "read" : "write", e.pages);
+            e.start_ms * 1000.0, e.io.ms * 1000.0);
+    if (e.io.Seeks() > 0) {
+      AppendF(out,
+              ", \"args\": {\"reads\": %llu, \"writes\": %llu, "
+              "\"pages\": %llu}",
+              static_cast<unsigned long long>(e.io.read_calls),
+              static_cast<unsigned long long>(e.io.write_calls),
+              static_cast<unsigned long long>(e.io.PagesTransferred()));
     }
     out->append("}");
   }
@@ -164,11 +106,7 @@ TraceSession::SummaryNode TraceSession::Summarize() const {
         e.parent < 0 ? &root : node_of[static_cast<size_t>(e.parent)];
     SummaryNode& node = parent->children[Name(e.name_id)];
     node.count++;
-    node.total_ms += e.dur_ms;
-    if (e.kind == SpanKind::kIo) {
-      node.io_calls++;
-      node.io_pages += e.pages;
-    }
+    node.io += e.io;
     node_of[i] = &node;
   }
   return root;
@@ -181,15 +119,26 @@ void PrintSummaryNode(const std::string& name,
                       std::FILE* f) {
   std::fprintf(f, "%*s%-*s %8llu %12.1f", depth * 2, "",
                36 - depth * 2 > 0 ? 36 - depth * 2 : 0, name.c_str(),
-               static_cast<unsigned long long>(node.count), node.total_ms);
-  if (node.io_calls > 0) {
+               static_cast<unsigned long long>(node.count), node.io.ms);
+  if (node.io.Seeks() > 0) {
     std::fprintf(f, "  (%llu calls, %llu pages)",
-                 static_cast<unsigned long long>(node.io_calls),
-                 static_cast<unsigned long long>(node.io_pages));
+                 static_cast<unsigned long long>(node.io.Seeks()),
+                 static_cast<unsigned long long>(node.io.PagesTransferred()));
   }
   std::fprintf(f, "\n");
   for (const auto& [child_name, child] : node.children) {
     PrintSummaryNode(child_name, child, depth + 1, f);
+  }
+}
+
+void AppendFolded(const std::string& path,
+                  const TraceSession::SummaryNode& node, std::string* out) {
+  double self_ms = node.io.ms;
+  for (const auto& [name, child] : node.children) self_ms -= child.io.ms;
+  const long long self_us = std::llround(self_ms * 1000.0);
+  if (self_us != 0) AppendF(out, "%s %lld\n", path.c_str(), self_us);
+  for (const auto& [name, child] : node.children) {
+    AppendFolded(path + ";" + name, child, out);
   }
 }
 
@@ -200,6 +149,14 @@ void TraceSession::PrintSummary(const SummaryNode& root, std::FILE* f) {
   for (const auto& [name, node] : root.children) {
     PrintSummaryNode(name, node, 0, f);
   }
+}
+
+std::string TraceSession::Folded(const SummaryNode& root) {
+  std::string out;
+  for (const auto& [name, node] : root.children) {
+    AppendFolded(name, node, &out);
+  }
+  return out;
 }
 
 }  // namespace lob

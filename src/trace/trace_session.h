@@ -9,24 +9,24 @@
 //            the same (possibly composed "parent.child") label the
 //            attribution ledger charges;
 //   kPhase — a sub-phase inside an op ("tree.descend", "buddy.alloc",
-//            "seg.shuffle", "pool.miss", ...), opened by LOB_TRACE_SPAN;
-//   kIo    — one metered SimDisk call ("disk.io"), a leaf with its
-//            read/write direction and page count as payload.
+//            "seg.shuffle", "pool.miss", ...), opened by LOB_TRACE_SPAN.
 //
-// Timestamps are the SimDisk modeled clock (stats().ms), not wall time:
+// A span is a view of the disk's one meter, not a second record: it opens
+// and closes on SimDisk::stats() snapshots and keeps their IoStats::Delta,
+// so its duration, calls and pages are exactly what the disk counted
+// inside it. Timestamps are the modeled clock (stats().ms), not wall time:
 // a trace is a deterministic function of the workload, byte-identical
-// across runs and across --jobs worker counts. Conservation extends one
-// level below the ObsRegistry ledger: per op, the sum of child disk.io
-// span ms equals the ms the ledger attributed to that op's label
-// (IoMsByOp(), asserted in tests for all three engines).
+// across runs and across --jobs worker counts.
 //
 // The session holds no lock: one session per bench job, owned like
 // JobOutput and recorded into only by that job's thread; the harness
 // exports the sessions in submission order after the fan-out joins.
 //
-// Exporters: Chrome trace-event / Perfetto JSON (ChromeTraceJson; open in
-// https://ui.perfetto.dev or chrome://tracing) and an aggregated span-tree
-// summary (Summarize/PrintSummary, used by `lobtool trace`).
+// Views of one recording: Chrome trace-event / Perfetto JSON
+// (ChromeTraceJson; open in https://ui.perfetto.dev or chrome://tracing),
+// the aggregated span tree (Summarize/PrintSummary) and its folded stacks
+// (Folded; speedscope, inferno, flamegraph.pl). `lobtool profile` renders
+// all three from one replay.
 
 #ifndef LOB_TRACE_TRACE_SESSION_H_
 #define LOB_TRACE_TRACE_SESSION_H_
@@ -39,12 +39,12 @@
 #include <utility>
 #include <vector>
 
-#include "trace/tracing.h"
+#include "iomodel/io_stats.h"
 
 namespace lob {
 
 /// What a span represents; exported as the Chrome trace-event category.
-enum class SpanKind : uint8_t { kOp, kPhase, kIo };
+enum class SpanKind : uint8_t { kOp, kPhase };
 
 /// Records one job's span stream; see the file comment.
 class TraceSession {
@@ -55,12 +55,11 @@ class TraceSession {
   struct Event {
     uint32_t name_id = 0;  ///< index into names()
     int32_t parent = -1;   ///< enclosing span's event index, -1 = root
-    uint16_t depth = 0;    ///< nesting depth (roots are 0)
     SpanKind kind = SpanKind::kPhase;
-    bool is_read = false;  ///< kIo only
-    uint32_t pages = 0;    ///< kIo only
     double start_ms = 0;   ///< modeled clock at open
-    double dur_ms = 0;     ///< modeled ms spent inside the span
+    /// The disk's I/O inside the span; io.ms is the span's duration.
+    /// Holds the open-time snapshot until EndSpan replaces it.
+    IoStats io;
   };
 
   TraceSession() = default;
@@ -73,29 +72,22 @@ class TraceSession {
   uint32_t InternName(std::string_view name);
   const std::string& Name(uint32_t id) const { return names_[id]; }
 
-  /// Opens a span at modeled time `now_ms`; returns its event index for
+  /// Opens a span on the disk counters `now`; returns its event index for
   /// the matching EndSpan. Spans must close in LIFO order (checked).
-  size_t BeginSpan(std::string_view name, SpanKind kind, double now_ms);
-  void EndSpan(size_t index, double now_ms);
-
-  /// Records one metered disk call as a "disk.io" leaf under the
-  /// currently open span (root level when none is open). Called by
-  /// SimDisk::AccountCall on every metered call.
-  void RecordIo(bool is_read, uint32_t pages, double start_ms, double dur_ms);
+  size_t BeginSpan(std::string_view name, SpanKind kind, const IoStats& now);
+  /// Closes the span with IoStats::Delta(open, now), whose debug
+  /// underflow check guards that the counters never run backwards.
+  void EndSpan(size_t index, const IoStats& now);
 
   const std::vector<Event>& events() const { return events_; }
   bool empty() const { return events_.empty(); }
   size_t open_spans() const { return stack_.size(); }
 
-  /// Sum of disk.io span ms grouped by the nearest enclosing kOp span's
-  /// name ("(unattributed)" when the I/O happened outside any op). The
-  /// conservation tests compare this map against the ObsRegistry ledger.
-  std::map<std::string, double> IoMsByOp() const;
-
   /// Appends this session's events as Chrome trace-event objects (ph "X"
-  /// complete events, ts/dur in modeled microseconds) plus a process_name
-  /// metadata record. `pid` distinguishes jobs in the merged file;
-  /// `*first` tracks comma placement across sessions.
+  /// complete events, ts/dur in modeled microseconds, args {reads,
+  /// writes, pages} on spans that did I/O) plus a process_name metadata
+  /// record. `pid` distinguishes jobs in the merged file; `*first` tracks
+  /// comma placement across sessions.
   void AppendChromeTraceEvents(std::string* out, int pid,
                                const std::string& process_name,
                                bool* first) const;
@@ -108,18 +100,23 @@ class TraceSession {
           sessions);
 
   /// Aggregated span tree: spans with the same name under the same parent
-  /// path are merged, accumulating counts, modeled ms and I/O payloads.
+  /// path are merged, accumulating counts and I/O.
   struct SummaryNode {
     uint64_t count = 0;
-    double total_ms = 0;
-    uint64_t io_calls = 0;  ///< kIo spans merged into this node
-    uint64_t io_pages = 0;
+    IoStats io;  ///< summed span I/O; io.ms is the modeled ms
     std::map<std::string, SummaryNode> children;
   };
   SummaryNode Summarize() const;
 
-  /// Prints a summary tree as an indented per-phase modeled-ms rollup.
+  /// Prints a summary tree as an indented per-phase rollup: count,
+  /// modeled ms, and calls and pages where the span did I/O.
   static void PrintSummary(const SummaryNode& root, std::FILE* f);
+
+  /// Folded stacks of a summary tree: one "root;child;leaf <us>\n" line
+  /// per node with nonzero self cost (the node's modeled ms minus its
+  /// children's, in integer modeled microseconds), depth first with
+  /// siblings in name order.
+  static std::string Folded(const SummaryNode& root);
 
  private:
   std::vector<std::string> names_;
@@ -127,8 +124,6 @@ class TraceSession {
   std::vector<Event> events_;
   /// Indices of currently open spans.
   std::vector<size_t> stack_;
-  /// Interned "disk.io", lazily.
-  uint32_t io_name_id_ = UINT32_MAX;
 };
 
 }  // namespace lob

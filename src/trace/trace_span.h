@@ -1,7 +1,7 @@
 // TraceSpan: RAII phase span on the modeled clock.
 //
-// A span site names the sub-phase it brackets and the SimDisk whose
-// modeled clock timestamps it:
+// A span site names the sub-phase it brackets and the SimDisk whose I/O
+// counters the span is a view of:
 //
 //   Status PositionalTree::FindLeaf(...) {
 //     LOB_TRACE_SPAN(disk, "tree.descend");
@@ -9,21 +9,18 @@
 //   }
 //
 // When no TraceSession is attached to the disk (the common case) the span
-// is two pointer checks; when LOB_TRACING=0 the macro expands to nothing
-// at all. Spans opened inside a StorageSystem::UnmeteredSection are
-// dropped (active_trace() returns nullptr while attribution is
-// suspended), keeping traces consistent with the restored stats.
+// is two pointer checks. Spans opened inside a
+// StorageSystem::UnmeteredSection are dropped (active_trace() returns
+// nullptr while attribution is suspended), keeping traces consistent with
+// the restored stats.
 
 #ifndef LOB_TRACE_TRACE_SPAN_H_
 #define LOB_TRACE_TRACE_SPAN_H_
 
 #include "iomodel/sim_disk.h"
 #include "trace/trace_session.h"
-#include "trace/tracing.h"
 
 namespace lob {
-
-#if LOB_TRACING
 
 /// Opens a kPhase span on the disk's active trace for the scope lifetime.
 class TraceSpan {
@@ -32,11 +29,11 @@ class TraceSpan {
     TraceSession* t = disk->active_trace();
     if (t != nullptr) {
       session_ = t;
-      index_ = t->BeginSpan(name, SpanKind::kPhase, disk->stats().ms);
+      index_ = t->BeginSpan(name, SpanKind::kPhase, disk->stats());
     }
   }
   ~TraceSpan() {
-    if (session_ != nullptr) session_->EndSpan(index_, disk_->stats().ms);
+    if (session_ != nullptr) session_->EndSpan(index_, disk_->stats());
   }
 
   TraceSpan(const TraceSpan&) = delete;
@@ -52,12 +49,6 @@ class TraceSpan {
 #define LOB_TRACE_CONCAT(a, b) LOB_TRACE_CONCAT_INNER(a, b)
 #define LOB_TRACE_SPAN(disk, name) \
   ::lob::TraceSpan LOB_TRACE_CONCAT(lob_trace_span_, __LINE__)((disk), (name))
-
-#else  // !LOB_TRACING
-
-#define LOB_TRACE_SPAN(disk, name) ((void)0)
-
-#endif  // LOB_TRACING
 
 }  // namespace lob
 

@@ -75,16 +75,22 @@ TEST(CostAnchors, StarburstFullCopyUpdateMatchesTable3) {
 
 TEST(CostAnchors, EsmExactFitBuildMatchesFigure5) {
   // Paper Figure 5: building 10 MB with 4K appends into 1-page leaves
-  // costs ~170 s. Our model books one leaf write plus one shadowed index
-  // write per append: 2560 * 74 ms = 189 s. Accept 155-200 s.
+  // costs ~170 s. Profiling the build (`lobtool profile`, esm 1) shows
+  // only one-page writes at 37 ms: 2560 leaf writes (pool.write_fresh
+  // under esm.redistribute, 94 720 ms) and 2062 index-page writes
+  // (pool.flush at op end, 76 294 ms), not one index write per append.
+  // 4622 * 37 ms = 171 014 ms.
   StorageSystem sys;
   auto mgr = CreateEsmManager(&sys, 1);
   auto id = mgr->Create();
   ASSERT_TRUE(id.ok());
   auto r = BuildObject(&sys, mgr.get(), *id, 10 * kMb, 4096);
   ASSERT_TRUE(r.ok());
-  EXPECT_GT(r->Seconds(), 155.0);
-  EXPECT_LT(r->Seconds(), 200.0);
+  EXPECT_EQ(r->io.read_calls, 0u);
+  EXPECT_EQ(r->io.write_calls, 2560u + 2062u);
+  EXPECT_EQ(r->io.pages_read, 0u);
+  EXPECT_EQ(r->io.pages_written, 2560u + 2062u);
+  EXPECT_EQ(r->io.ms, 4622 * 37.0);
 }
 
 TEST(CostAnchors, SequentialScanApproachesTransferRate) {
@@ -127,9 +133,10 @@ TEST(CostAnchors, EsmOnePageLeafScanIsSeekBound) {
 }
 
 TEST(CostAnchors, ThreeStepReadCostOnLargeSegment) {
-  // Paper 4.1 + 3.2: a 100K read from one large segment costs 3 calls
-  // (boundary pages through the pool, middle direct): 3 seeks + ~26 pages
-  // = about 203 ms.
+  // Paper 4.1 + 3.2: a 100K read from one large segment costs 3 calls:
+  // the two partial boundary pages miss through the pool one page each,
+  // and the 23 whole pages between them are read directly in one call.
+  // 3 seeks + 25 pages = 3 * 33 + 25 * 4 = 199 ms.
   StorageSystem sys;
   auto mgr = CreateStarburstManager(&sys);
   auto id = mgr->Create();
@@ -139,7 +146,9 @@ TEST(CostAnchors, ThreeStepReadCostOnLargeSegment) {
   sys.ResetStats();
   ASSERT_TRUE(mgr->Read(*id, 123456, 100000, &buf).ok());
   EXPECT_EQ(sys.stats().read_calls, 3u);
-  EXPECT_NEAR(sys.stats().ms, 33 * 3 + 26 * 4, 12.0);
+  EXPECT_EQ(sys.stats().write_calls, 0u);
+  EXPECT_EQ(sys.stats().pages_read, 25u);
+  EXPECT_EQ(sys.stats().ms, 33 * 3 + 25 * 4.0);
 }
 
 TEST(CostAnchors, BufferedReadIsSingleCall) {
@@ -185,8 +194,14 @@ TEST(CostAnchors, StarburstEqualsEosWithoutLengthChanges) {
     ASSERT_TRUE(sb->Read(*sb_id, off, 10000, &buf).ok());
     ASSERT_TRUE(eos->Read(*eos_id, off, 10000, &buf).ok());
   }
-  EXPECT_NEAR(sb_sys.stats().ms, eos_sys.stats().ms,
-              sb_sys.stats().ms * 0.02);
+  const IoStats& a = sb_sys.stats();
+  const IoStats& b = eos_sys.stats();
+  EXPECT_GT(a.read_calls, 0u);
+  EXPECT_EQ(a.read_calls, b.read_calls);
+  EXPECT_EQ(a.write_calls, b.write_calls);
+  EXPECT_EQ(a.pages_read, b.pages_read);
+  EXPECT_EQ(a.pages_written, b.pages_written);
+  EXPECT_EQ(a.ms, b.ms);
 }
 
 TEST(CostAnchors, AppendsAreIndexFreeForLevelOneTrees) {

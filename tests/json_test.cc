@@ -1,7 +1,9 @@
 // Tests for the minimal JSON parser behind `lobtool bench-diff` and the
-// gate-file loader. The parser only needs to read what our own exporters
-// write (objects, arrays, numbers, strings, bools, null), but it must
-// reject malformed input with a line number instead of misreading it.
+// gate-file loader, and for the two writer helpers every exporter shares.
+// The parser only needs to read what our own exporters write (objects,
+// arrays, numbers, strings, bools, null), but it must reject malformed
+// input with a line number instead of misreading it. The writers must
+// produce valid JSON for any string and never truncate.
 
 #include <gtest/gtest.h>
 
@@ -100,6 +102,37 @@ TEST(JsonTest, RoundTripsOwnExporterOutput) {
   const JsonValue* read = ops->Find("eos.read");
   ASSERT_NE(read, nullptr);
   EXPECT_DOUBLE_EQ(read->NumberOr("p99_ms", 0), 123.456);
+}
+
+TEST(JsonWriterTest, EscapeRoundTripsEveryControlByteQuoteAndBackslash) {
+  std::string raw = "a\"b\\c";
+  for (int c = 0; c < 0x20; ++c) raw.push_back(static_cast<char>(c));
+  raw += "end";
+  const std::string escaped = JsonEscape(raw);
+  for (const char c : escaped) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20)
+        << "raw control byte " << static_cast<int>(c) << " in output";
+  }
+  auto v = JsonValue::Parse("{\"" + escaped + "\": \"" + escaped + "\"}");
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  ASSERT_EQ(v->as_object().size(), 1u);
+  EXPECT_EQ(v->as_object().begin()->first, raw);
+  EXPECT_EQ(v->as_object().begin()->second.as_string(), raw);
+}
+
+TEST(JsonWriterTest, EscapeLeavesPlainStringsUnchanged) {
+  EXPECT_EQ(JsonEscape("esm.insert.esm.append"), "esm.insert.esm.append");
+  EXPECT_EQ(JsonEscape(""), "");
+  EXPECT_EQ(JsonEscape("say \"hi\"\n"), "say \\\"hi\\\"\\n");
+}
+
+TEST(JsonWriterTest, AppendFGrowsInsteadOfTruncating) {
+  const std::string long_text(1000, 'k');
+  std::string out = "{";
+  AppendF(&out, "\"%s\": %d}", long_text.c_str(), 7);
+  EXPECT_EQ(out, "{\"" + long_text + "\": 7}");
+  AppendF(&out, "%s", "");
+  EXPECT_EQ(out.size(), 1000u + 7u);
 }
 
 TEST(JsonTest, ParseFileReportsMissingFile) {

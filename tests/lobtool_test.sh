@@ -57,20 +57,29 @@ grep -q '"schema_version": 2' "$DIR/stats.json" || fail "stats json schema v2"
 "$LOBTOOL" "$DB" stats doc --json | grep -q '"p50"' || fail "stats --json alias"
 "$LOBTOOL" "$DB" stats doc | grep -q 'p99' || fail "stats table p99 column"
 
-# flame: folded-stack output must be deterministic, parent-prefixed, and
-# pass its conservation checks (exit 0).
+# profile: one replay, three views. Each is deterministic; the tree
+# shows per-span calls and pages, the folded view carries buffer-pool
+# frames under their ops, and --out writes the view to a file.
 printf 'append 0 100000 1\ninsert 50000 20000 2\nread 10000 40000 3\ndelete 30000 10000 4\n' \
   > "$DIR/demo.ops"
-"$LOBTOOL" flame "$DIR/demo.ops" eos > "$DIR/flame1.folded" \
-  || fail "flame eos exit"
-"$LOBTOOL" flame "$DIR/demo.ops" eos > "$DIR/flame2.folded" \
-  || fail "flame eos rerun"
-cmp -s "$DIR/flame1.folded" "$DIR/flame2.folded" || fail "flame determinism"
-grep -q '^eos.read ' "$DIR/flame1.folded" || fail "flame has eos.read stack"
-grep -qv ' 0$' "$DIR/flame1.folded" || fail "flame has nonzero self cost"
-"$LOBTOOL" flame "$DIR/demo.ops" esm --out="$DIR/flame_esm.folded" \
-  || fail "flame --out"
-[ -s "$DIR/flame_esm.folded" ] || fail "flame --out wrote file"
+for fmt in tree folded json; do
+  "$LOBTOOL" profile "$DIR/demo.ops" eos --format="$fmt" > "$DIR/p1.$fmt" \
+    || fail "profile --format=$fmt exit"
+  "$LOBTOOL" profile "$DIR/demo.ops" eos --format="$fmt" > "$DIR/p2.$fmt" \
+    || fail "profile --format=$fmt rerun"
+  cmp -s "$DIR/p1.$fmt" "$DIR/p2.$fmt" || fail "profile --format=$fmt determinism"
+done
+grep -q '^eos.read .*calls, .* pages)' "$DIR/p1.tree" \
+  || fail "profile tree shows calls and pages"
+grep -q '^eos.read;pool\.' "$DIR/p1.folded" || fail "profile folded has a ;pool. frame"
+if command -v python3 > /dev/null 2>&1; then
+  python3 -c 'import json,sys; json.load(sys.stdin)' < "$DIR/p1.json" \
+    || fail "profile json parses"
+fi
+"$LOBTOOL" profile "$DIR/demo.ops" esm --format=folded \
+  --out="$DIR/flame_esm.folded" > "$DIR/out.stdout" || fail "profile --out"
+[ -s "$DIR/flame_esm.folded" ] || fail "profile --out wrote file"
+[ -s "$DIR/out.stdout" ] && fail "profile --out also wrote stdout"
 
 # bench-diff: self-diff is zero drift (exit 0); a gated regression exits
 # 1; unreadable input exits 2.
@@ -94,6 +103,18 @@ set +e
 rc=$?
 set -e
 [ "$rc" -eq 2 ] || fail "bench-diff bad input should exit 2 (got $rc)"
+
+# bench-diff --format=json must stay valid JSON for any metric name: a
+# key with a tab (escaped in the input) and a 600-character key.
+if command -v python3 > /dev/null 2>&1; then
+  long_key="$(printf 'k%.0s' $(seq 600))"
+  printf '{"m\\tx": 1.0, "%s": 2.0}\n' "$long_key" > "$DIR/odd.json"
+  "$LOBTOOL" bench-diff "$DIR/odd.json" "$DIR/odd.json" --format=json \
+    > "$DIR/odd_diff.json" || fail "bench-diff odd keys exit"
+  python3 -c 'import json,sys; json.load(sys.stdin)' < "$DIR/odd_diff.json" \
+    || fail "bench-diff --format=json output parses"
+  grep -q "$long_key" "$DIR/odd_diff.json" || fail "bench-diff kept the long key"
+fi
 
 "$LOBTOOL" "$DB" rm idx >/dev/null || fail "rm"
 "$LOBTOOL" "$DB" info | grep -q 'objects: *2' || fail "info after rm"
@@ -121,11 +142,13 @@ expect_rc 1 "cat with a non-numeric offset" "$LOBTOOL" "$DB" cat doc abc 10
 expect_rc 1 "delete with a suffixed offset" "$LOBTOOL" "$DB" delete doc 1x 10
 [ "$("$LOBTOOL" "$DB" cat doc)" = "hello large objects" ] \
   || fail "delete with a bad offset changed the object"
-"$LOBTOOL" trace "$DIR/demo.ops" eos 4 >/dev/null || fail "trace eos 4"
-expect_rc 1 "trace with a negative param" \
-  "$LOBTOOL" trace "$DIR/demo.ops" eos -5
-expect_rc 1 "trace with a misspelled flag" \
-  "$LOBTOOL" trace "$DIR/demo.ops" --jsn="$DIR/out.json"
+"$LOBTOOL" profile "$DIR/demo.ops" eos 4 >/dev/null || fail "profile eos 4"
+expect_rc 1 "profile with a negative param" \
+  "$LOBTOOL" profile "$DIR/demo.ops" eos -5
+expect_rc 1 "profile with a misspelled flag" \
+  "$LOBTOOL" profile "$DIR/demo.ops" --fromat=json
+expect_rc 1 "profile with an unknown format" \
+  "$LOBTOOL" profile "$DIR/demo.ops" --format=svg
 expect_rc 2 "bench-diff with a non-numeric band" \
   "$LOBTOOL" bench-diff "$DIR/base.json" "$DIR/base.json" --neutral-band=abc
 

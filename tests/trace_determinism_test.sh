@@ -60,23 +60,33 @@ events = trace["traceEvents"]
 assert isinstance(events, list) and events, "traceEvents empty"
 cats = set()
 pids = set()
+with_io = 0
 for e in events:
     pids.add(e["pid"])
     if e["ph"] == "M":
         assert e["name"] == "process_name", e
         assert isinstance(e["args"]["name"], str) and e["args"]["name"], e
     elif e["ph"] == "X":
-        assert e["cat"] in ("op", "phase", "io"), e
+        assert e["cat"] in ("op", "phase"), e
         assert e["ts"] >= 0 and e["dur"] >= 0, e
         assert isinstance(e["name"], str) and e["name"], e
         cats.add(e["cat"])
-        if e["cat"] == "io":
-            assert e["args"]["rw"] in ("read", "write"), e
-            assert e["args"]["pages"] >= 0, e
+        # A span that did I/O carries its calls and pages; its duration is
+        # exactly their modeled cost (33 ms seek + 4 ms per page).
+        if "args" in e:
+            a = e["args"]
+            assert set(a) == {"reads", "writes", "pages"}, e
+            calls = a["reads"] + a["writes"]
+            assert calls > 0 and a["pages"] >= calls, e
+            assert abs(e["dur"] - 1000 * (33 * calls + 4 * a["pages"])) < 1e-3, e
+            with_io += 1
+        else:
+            assert e["dur"] == 0, e
     else:
         raise AssertionError(f"unexpected ph {e['ph']}")
-# A mix-figure run exercises ops, sub-phases and raw I/O in every cell.
-assert cats == {"op", "phase", "io"}, cats
+# A mix-figure run exercises ops and sub-phases in every cell.
+assert cats == {"op", "phase"}, cats
+assert with_io > 0, "no span carries I/O"
 assert len(pids) > 1, "expected one pid per merged cell"
 EOF
 else

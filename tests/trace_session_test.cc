@@ -1,15 +1,14 @@
 // Tests for the modeled-clock span tracing subsystem (src/trace):
 //
-// * TraceSession mechanics: strict nesting, parent/depth wiring, the
-//   negative-duration clamp, name interning and IoMsByOp attribution.
+// * TraceSession mechanics: strict nesting, parent wiring, each span
+//   keeping the IoStats delta of its scope, and name interning.
 // * Chrome trace-event / Perfetto JSON export shape and determinism.
-// * The hook layer (gated on LOB_TRACING): OpScope opens kOp spans with
-//   the composed ledger label, SimDisk::AccountCall records kIo leaves,
-//   UnmeteredSection suspends recording.
-// * The load-bearing invariant, one level below the ObsRegistry ledger:
-//   per operation label, the sum of child disk.io span milliseconds
-//   equals the milliseconds the attribution ledger charged to that
-//   label — for all three engines over a mixed workload.
+// * The hook layer: OpScope opens kOp spans with the composed ledger
+//   label on the disk's counters, UnmeteredSection suspends recording.
+// * Spans are views of the one meter: per operation label, the op spans'
+//   I/O minus their nested op spans' I/O equals the ledger's exclusive
+//   IoStats field by field, and the root spans sum to the global stats —
+//   for all three engines over a mixed workload.
 // * TimelineSampler: the final sample reproduces the final MixPoint's
 //   utilization (the paper's Figure 7/8 endpoints), and the CSV exporter
 //   escapes labels per RFC 4180.
@@ -20,6 +19,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -36,56 +36,60 @@
 #include "obs/op_scope.h"
 #include "trace/timeline.h"
 #include "trace/trace_session.h"
-#include "trace/tracing.h"
 #include "workload/workload.h"
 
 namespace lob {
 namespace {
 
-// Only referenced by the LOB_TRACING-gated hook tests.
-[[maybe_unused]] std::string Pattern(uint64_t seed, size_t n) {
+std::string Pattern(uint64_t seed, size_t n) {
   std::string out(n, '\0');
   Rng rng(seed);
   for (auto& c : out) c = static_cast<char>('a' + rng.Uniform(0, 25));
   return out;
 }
 
+/// Disk counters after `reads` one-page reads and `writes` one-page
+/// writes at 10 ms each: the snapshots spans open and close on.
+IoStats Counters(uint64_t reads, uint64_t writes) {
+  IoStats io;
+  io.read_calls = reads;
+  io.pages_read = reads;
+  io.write_calls = writes;
+  io.pages_written = writes;
+  io.ms = 10.0 * static_cast<double>(reads + writes);
+  return io;
+}
+
+void ExpectSameIo(const IoStats& a, const IoStats& b, const std::string& what) {
+  EXPECT_EQ(a.read_calls, b.read_calls) << what;
+  EXPECT_EQ(a.write_calls, b.write_calls) << what;
+  EXPECT_EQ(a.pages_read, b.pages_read) << what;
+  EXPECT_EQ(a.pages_written, b.pages_written) << what;
+  EXPECT_DOUBLE_EQ(a.ms, b.ms) << what;
+}
+
 // ---------------------------------------------------------------------------
-// TraceSession mechanics (always compiled; only the hooks are gated)
+// TraceSession mechanics
 
-TEST(TraceSessionTest, SpansNestWithParentAndDepth) {
+TEST(TraceSessionTest, SpansNestAndKeepTheCounterDeltaOfTheirScope) {
   TraceSession s;
-  const size_t op = s.BeginSpan("eos.insert", SpanKind::kOp, 10.0);
-  const size_t phase = s.BeginSpan("tree.descend", SpanKind::kPhase, 12.0);
-  s.RecordIo(true, 4, 12.0, 3.0);
-  s.EndSpan(phase, 15.0);
-  s.EndSpan(op, 20.0);
+  const size_t op = s.BeginSpan("eos.insert", SpanKind::kOp, Counters(1, 0));
+  const size_t phase =
+      s.BeginSpan("tree.descend", SpanKind::kPhase, Counters(2, 0));
+  s.EndSpan(phase, Counters(4, 0));
+  s.EndSpan(op, Counters(4, 3));
 
-  ASSERT_EQ(s.events().size(), 3u);
+  ASSERT_EQ(s.events().size(), 2u);
   const auto& events = s.events();
   EXPECT_EQ(s.Name(events[0].name_id), "eos.insert");
   EXPECT_EQ(events[0].parent, -1);
-  EXPECT_EQ(events[0].depth, 0);
-  EXPECT_DOUBLE_EQ(events[0].dur_ms, 10.0);
+  EXPECT_DOUBLE_EQ(events[0].start_ms, 10.0);
+  ExpectSameIo(events[0].io, Counters(3, 3), "op");  // io.ms is 60 ms
   EXPECT_EQ(s.Name(events[1].name_id), "tree.descend");
   EXPECT_EQ(events[1].parent, 0);
-  EXPECT_EQ(events[1].depth, 1);
-  EXPECT_DOUBLE_EQ(events[1].dur_ms, 3.0);
-  EXPECT_EQ(s.Name(events[2].name_id), "disk.io");
-  EXPECT_EQ(events[2].parent, 1);
-  EXPECT_EQ(events[2].depth, 2);
-  EXPECT_TRUE(events[2].is_read);
-  EXPECT_EQ(events[2].pages, 4u);
+  EXPECT_DOUBLE_EQ(events[1].start_ms, 20.0);
+  ExpectSameIo(events[1].io, Counters(2, 0), "phase");
   EXPECT_EQ(s.open_spans(), 0u);
-}
-
-TEST(TraceSessionTest, NegativeDurationClampsToZero) {
-  // UnmeteredSection restores the modeled clock, so a span can observe
-  // the clock moving backwards; its duration clamps to zero.
-  TraceSession s;
-  const size_t span = s.BeginSpan("op", SpanKind::kOp, 50.0);
-  s.EndSpan(span, 20.0);
-  EXPECT_DOUBLE_EQ(s.events()[0].dur_ms, 0.0);
 }
 
 TEST(TraceSessionTest, NamesAreInternedOnce) {
@@ -97,37 +101,28 @@ TEST(TraceSessionTest, NamesAreInternedOnce) {
   EXPECT_NE(a, c);
 }
 
-TEST(TraceSessionTest, IoMsByOpClimbsToNearestOpSpan) {
-  TraceSession s;
-  // I/O outside any op span is unattributed.
-  s.RecordIo(false, 1, 0.0, 5.0);
-  const size_t op = s.BeginSpan("esm.append", SpanKind::kOp, 5.0);
-  s.RecordIo(false, 2, 5.0, 7.0);
-  const size_t phase = s.BeginSpan("pool.flush", SpanKind::kPhase, 12.0);
-  s.RecordIo(false, 1, 12.0, 3.0);  // attributed through the phase
-  s.EndSpan(phase, 15.0);
-  s.EndSpan(op, 15.0);
-  const auto by_op = s.IoMsByOp();
-  ASSERT_EQ(by_op.size(), 2u);
-  EXPECT_DOUBLE_EQ(by_op.at("esm.append"), 10.0);
-  EXPECT_DOUBLE_EQ(by_op.at("(unattributed)"), 5.0);
-}
-
 TEST(TraceSessionTest, SummarizeMergesSiblingSpansByName) {
   TraceSession s;
-  for (int i = 0; i < 3; ++i) {
-    const size_t op = s.BeginSpan("eos.read", SpanKind::kOp, i * 10.0);
-    s.RecordIo(true, 2, i * 10.0, 4.0);
-    s.EndSpan(op, i * 10.0 + 4.0);
+  for (uint64_t i = 0; i < 3; ++i) {
+    const size_t op =
+        s.BeginSpan("eos.read", SpanKind::kOp, Counters(2 * i, 0));
+    const size_t miss =
+        s.BeginSpan("pool.miss", SpanKind::kPhase, Counters(2 * i, 0));
+    s.EndSpan(miss, Counters(2 * i + 1, 0));
+    s.EndSpan(op, Counters(2 * i + 2, 0));
   }
   const TraceSession::SummaryNode root = s.Summarize();
   ASSERT_EQ(root.children.count("eos.read"), 1u);
   const auto& op_node = root.children.at("eos.read");
   EXPECT_EQ(op_node.count, 3u);
-  EXPECT_DOUBLE_EQ(op_node.total_ms, 12.0);
-  ASSERT_EQ(op_node.children.count("disk.io"), 1u);
-  EXPECT_EQ(op_node.children.at("disk.io").io_calls, 3u);
-  EXPECT_EQ(op_node.children.at("disk.io").io_pages, 6u);
+  EXPECT_DOUBLE_EQ(op_node.io.ms, 60.0);
+  EXPECT_EQ(op_node.io.read_calls, 6u);
+  ASSERT_EQ(op_node.children.count("pool.miss"), 1u);
+  const auto& miss_node = op_node.children.at("pool.miss");
+  EXPECT_EQ(miss_node.count, 3u);
+  EXPECT_EQ(miss_node.io.read_calls, 3u);
+  EXPECT_EQ(miss_node.io.pages_read, 3u);
+  EXPECT_DOUBLE_EQ(miss_node.io.ms, 30.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -135,9 +130,16 @@ TEST(TraceSessionTest, SummarizeMergesSiblingSpansByName) {
 
 TEST(TraceSessionTest, ChromeTraceJsonShape) {
   TraceSession s;
-  const size_t op = s.BeginSpan("eos.insert", SpanKind::kOp, 1.5);
-  s.RecordIo(true, 4, 1.5, 2.0);
-  s.EndSpan(op, 3.5);
+  IoStats start = Counters(0, 0);
+  start.ms = 1.5;
+  const size_t op = s.BeginSpan("eos.insert", SpanKind::kOp, start);
+  const size_t idle = s.BeginSpan("tree.descend", SpanKind::kPhase, start);
+  s.EndSpan(idle, start);  // no I/O: no args
+  IoStats end = start;
+  end.read_calls = 1;
+  end.pages_read = 4;
+  end.ms = 3.5;
+  s.EndSpan(op, end);
   const std::string json =
       TraceSession::ChromeTraceJson({{"mean_op=100/EOS", &s}});
   // Document shell.
@@ -149,12 +151,15 @@ TEST(TraceSessionTest, ChromeTraceJsonShape) {
   // Complete events with category + microsecond timestamps (1.5 ms op).
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\": \"op\""), std::string::npos);
-  EXPECT_NE(json.find("\"cat\": \"io\""), std::string::npos);
+  EXPECT_NE(json.find("\"cat\": \"phase\""), std::string::npos);
+  EXPECT_EQ(json.find("\"cat\": \"io\""), std::string::npos);
   EXPECT_NE(json.find("\"ts\": 1500.000"), std::string::npos);
   EXPECT_NE(json.find("\"dur\": 2000.000"), std::string::npos);
-  // I/O payload args.
-  EXPECT_NE(json.find("\"rw\": \"read\""), std::string::npos);
-  EXPECT_NE(json.find("\"pages\": 4"), std::string::npos);
+  // The op span's I/O rides along as args; the idle phase carries none.
+  EXPECT_NE(json.find("\"args\": {\"reads\": 1, \"writes\": 0, "
+                      "\"pages\": 4}"),
+            std::string::npos);
+  EXPECT_EQ(json.find("\"reads\""), json.rfind("\"reads\""));
   // Balanced document (cheap well-formedness check).
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
@@ -164,11 +169,11 @@ TEST(TraceSessionTest, ChromeTraceJsonShape) {
 
 TEST(TraceSessionTest, ChromeTraceJsonMergesSessionsInGivenOrder) {
   TraceSession a;
-  const size_t sa = a.BeginSpan("one", SpanKind::kOp, 0.0);
-  a.EndSpan(sa, 1.0);
+  const size_t sa = a.BeginSpan("one", SpanKind::kOp, Counters(0, 0));
+  a.EndSpan(sa, Counters(1, 0));
   TraceSession b;
-  const size_t sb = b.BeginSpan("two", SpanKind::kOp, 0.0);
-  b.EndSpan(sb, 1.0);
+  const size_t sb = b.BeginSpan("two", SpanKind::kOp, Counters(0, 0));
+  b.EndSpan(sb, Counters(0, 1));
   const std::string json =
       TraceSession::ChromeTraceJson({{"cell-a", &a}, {"cell-b", &b}});
   const size_t pos_a = json.find("cell-a");
@@ -199,12 +204,10 @@ TEST(CsvEscapeTest, SpecialCharactersQuotePerRfc4180) {
   EXPECT_EQ(CsvEscape("a\rb"), "\"a\rb\"");
 }
 
-#if LOB_TRACING
-
 // ---------------------------------------------------------------------------
-// Hook layer: SimDisk + OpScope recording
+// Hook layer: OpScope spans on the SimDisk counters
 
-TEST(TraceHooksTest, OpScopeOpensOpSpanAndDiskRecordsIo) {
+TEST(TraceHooksTest, OpScopeSpansAreViewsOfTheDiskCounters) {
   StorageConfig cfg;
   SimDisk disk(cfg);
   TraceSession session;
@@ -222,22 +225,25 @@ TEST(TraceHooksTest, OpScopeOpensOpSpanAndDiskRecordsIo) {
   disk.set_trace(nullptr);
   ASSERT_TRUE(WritePages(&disk, area, 1, 1, page.data()).ok());  // not recorded
 
-  ASSERT_EQ(session.events().size(), 4u);
+  ASSERT_EQ(session.events().size(), 2u);
   const auto& ev = session.events();
   EXPECT_EQ(session.Name(ev[0].name_id), "outer");
   EXPECT_EQ(ev[0].kind, SpanKind::kOp);
-  EXPECT_EQ(session.Name(ev[1].name_id), "disk.io");
-  EXPECT_FALSE(ev[1].is_read);
-  EXPECT_EQ(ev[1].parent, 0);
   // The nested scope's span carries the composed ledger label, so span
   // attribution and ledger attribution agree by construction.
-  EXPECT_EQ(session.Name(ev[2].name_id), "outer.inner");
-  EXPECT_EQ(ev[2].kind, SpanKind::kOp);
-  EXPECT_EQ(ev[2].parent, 0);
-  EXPECT_TRUE(ev[3].is_read);
-  EXPECT_EQ(ev[3].parent, 2);
-  // Span durations on the modeled clock: the op span covers its I/O.
-  EXPECT_GE(ev[0].dur_ms, ev[1].dur_ms + ev[3].dur_ms - 1e-9);
+  EXPECT_EQ(session.Name(ev[1].name_id), "outer.inner");
+  EXPECT_EQ(ev[1].kind, SpanKind::kOp);
+  EXPECT_EQ(ev[1].parent, 0);
+  // Each span holds exactly the calls the disk metered inside it.
+  const double call_ms = cfg.seek_ms + cfg.PageTransferMs();
+  EXPECT_EQ(ev[0].io.write_calls, 1u);
+  EXPECT_EQ(ev[0].io.read_calls, 1u);
+  EXPECT_EQ(ev[0].io.PagesTransferred(), 2u);
+  EXPECT_DOUBLE_EQ(ev[0].io.ms, 2 * call_ms);
+  EXPECT_EQ(ev[1].io.write_calls, 0u);
+  EXPECT_EQ(ev[1].io.read_calls, 1u);
+  EXPECT_DOUBLE_EQ(ev[1].io.ms, call_ms);
+  EXPECT_DOUBLE_EQ(ev[1].start_ms, call_ms);
 }
 
 TEST(TraceHooksTest, UnmeteredSectionSuspendsRecording) {
@@ -262,7 +268,7 @@ TEST(TraceHooksTest, UnmeteredSectionSuspendsRecording) {
 }
 
 // ---------------------------------------------------------------------------
-// Conservation one level below the ledger, all three engines
+// Spans are views of the ledger's meter, all three engines
 
 class TraceConservationTest : public ::testing::TestWithParam<int> {
  protected:
@@ -287,7 +293,7 @@ class TraceConservationTest : public ::testing::TestWithParam<int> {
   std::unique_ptr<LargeObjectManager> mgr_;
 };
 
-TEST_P(TraceConservationTest, IoSpanMsMatchesLedgerPerOpLabel) {
+TEST_P(TraceConservationTest, OpSpansMinusNestedOpSpansEqualTheLedger) {
   auto id = mgr_->Create();
   ASSERT_TRUE(id.ok());
   for (int i = 0; i < 10; ++i) {
@@ -324,30 +330,48 @@ TEST_P(TraceConservationTest, IoSpanMsMatchesLedgerPerOpLabel) {
   ASSERT_FALSE(session_.empty());
   EXPECT_EQ(session_.open_spans(), 0u);
 
-  // Per label: the sum of disk.io span ms under that op's spans equals
-  // the ms the attribution ledger charged to the label.
-  const auto by_op = session_.IoMsByOp();
-  const ObsRegistry* obs = sys_.obs();
-  ASSERT_NE(obs, nullptr);
-  double trace_total = 0;
-  for (const auto& [label, ms] : by_op) {
-    ASSERT_NE(label, "(unattributed)")
-        << "all workload I/O runs inside an OpScope";
-    ASSERT_EQ(obs->ops().count(label), 1u) << label;
-    const double ledger_ms = obs->ops().at(label).io.ms;
-    EXPECT_NEAR(ms, ledger_ms, 1e-6 * (1.0 + ledger_ms)) << label;
-    trace_total += ms;
-  }
-  // Labels the ledger saw but the trace did not must have cost zero
-  // (ops that never reached the disk).
-  for (const auto& [label, rec] : obs->ops()) {
-    if (by_op.count(label) == 0) {
-      EXPECT_DOUBLE_EQ(rec.io.ms, 0.0) << label;
+  // Exclusive I/O of each op span: its own I/O minus that of the op spans
+  // nested in it (directly or under phase spans). The ledger charges each
+  // call to the innermost label, so per label the two must agree field
+  // by field.
+  const auto& events = session_.events();
+  std::vector<IoStats> exclusive(events.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (events[i].kind != SpanKind::kOp) continue;
+    exclusive[i] = events[i].io;
+    int32_t p = events[i].parent;
+    while (p >= 0 && events[static_cast<size_t>(p)].kind != SpanKind::kOp) {
+      p = events[static_cast<size_t>(p)].parent;
+    }
+    if (p >= 0) {
+      IoStats& outer = exclusive[static_cast<size_t>(p)];
+      outer = outer - events[i].io;
     }
   }
-  // And the grand total matches the global modeled clock.
-  const double global_ms = sys_.stats().ms;
-  EXPECT_NEAR(trace_total, global_ms, 1e-6 * (1.0 + global_ms));
+  std::map<std::string, IoStats> by_label;
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (events[i].kind == SpanKind::kOp) {
+      by_label[session_.Name(events[i].name_id)] += exclusive[i];
+    }
+  }
+  const ObsRegistry* obs = sys_.obs();
+  ASSERT_NE(obs, nullptr);
+  for (const auto& [label, io] : by_label) {
+    ASSERT_EQ(obs->ops().count(label), 1u) << label;
+    ExpectSameIo(io, obs->ops().at(label).io, label);
+  }
+  // Every op ran traced, so every ledger label has its op spans.
+  for (const auto& [label, rec] : obs->ops()) {
+    EXPECT_EQ(by_label.count(label), 1u) << label;
+  }
+
+  // The root spans cover every metered call: they sum to the global
+  // stats.
+  IoStats roots;
+  for (const TraceSession::Event& e : events) {
+    if (e.parent < 0) roots += e.io;
+  }
+  ExpectSameIo(roots, sys_.stats(), "root spans vs global stats");
 }
 
 std::string TraceEngineName(const ::testing::TestParamInfo<int>& info) {
@@ -401,10 +425,8 @@ TEST(TraceConcurrencyTest, PerJobSessionsAreIndependentAndDeterministic) {
   }
 }
 
-#endif  // LOB_TRACING
-
 // ---------------------------------------------------------------------------
-// TimelineSampler (not compile-time gated)
+// TimelineSampler
 
 TEST(TimelineTest, FinalSampleReproducesFinalMixPointUtilization) {
   StorageSystem sys;

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """lob_lint: project-contract static analysis for the lobstore tree.
 
-The repo carries three determinism- and conservation-critical contracts that
+The repo carries two determinism- and conservation-critical contracts that
 generic tooling cannot check:
 
   * byte-identical bench output for any --jobs (the parallel experiment
-    engine),
-  * span<->ledger I/O conservation (per-operation attribution), and
-  * zero-cost-off tracing (LOB_TRACING=OFF must compile every hook out).
+    engine), and
+  * I/O conservation (per-operation attribution: every metered call is
+    charged to exactly one label).
 
 This linter rejects, at review time, the code patterns that historically
 break them. Rules (stable IDs, see RULES below):
@@ -25,12 +25,6 @@ break them. Rules (stable IDs, see RULES below):
                           Exporter-scoped files (src/trace, src/obs, tools,
                           src/common/csv.h) may not even declare unordered
                           containers.
-  LOB003 trace-span       LOB_TRACE_SPAN arguments must be side-effect-free:
-                          the macro expands to nothing under -DLOB_TRACING=OFF,
-                          so any mutation or non-nullary call in its arguments
-                          would make behavior differ between builds (the
-                          zero-cost-off contract is proven byte-for-byte by
-                          scripts/check.sh pass 3).
   LOB004 attribution      Direct SimDisk ReadRun/WriteRun call sites in src/
                           are restricted to an allowlist of mediator files
                           whose callers hold a labeled OpScope
@@ -94,7 +88,6 @@ import sys
 RULES = {
     "wallclock": "LOB001",
     "unordered-iter": "LOB002",
-    "trace-span": "LOB003",
     "attribution": "LOB004",
     "header-hygiene": "LOB005",
     "ignore-status": "LOB006",
@@ -373,70 +366,6 @@ def check_unordered(path, code, findings, extra_decl_names=()):
                 "ordered container" % target))
 
 
-TRACE_SPAN_RE = re.compile(r"\bLOB_TRACE_SPAN\s*\(")
-MUTATION_RE = re.compile(
-    r"(\+\+|--|(?<![=!<>+\-*/%&|^])=(?![=])|\+=|-=|\*=|/=|%=|&=|\|=|\^=|"
-    r"<<=|>>=)")
-CALL_WITH_ARGS_RE = re.compile(r"\w\s*\(\s*[^)\s]")
-
-
-def extract_balanced(text, start):
-    """Returns the argument text of the call whose '(' is at text[start]."""
-    depth = 0
-    i = start
-    while i < len(text):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return text[start + 1:i]
-        i += 1
-    return None
-
-
-def check_trace_span(path, code, findings):
-    joined = "\n".join(code)
-    line_starts = [0]
-    for line in code:
-        line_starts.append(line_starts[-1] + len(line) + 1)
-
-    def line_of(pos):
-        lo, hi = 0, len(line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if line_starts[mid] <= pos:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1
-
-    for m in TRACE_SPAN_RE.finditer(joined):
-        lineno = line_of(m.start())
-        # Skip the macro's own definition.
-        line_text = code[lineno - 1].lstrip()
-        if line_text.startswith("#"):
-            continue
-        args = extract_balanced(joined, m.end() - 1)
-        if args is None:
-            findings.append(Finding(path, lineno, "trace-span",
-                                    "unbalanced LOB_TRACE_SPAN call"))
-            continue
-        if MUTATION_RE.search(args):
-            findings.append(Finding(
-                path, lineno, "trace-span",
-                "LOB_TRACE_SPAN argument mutates state; the macro compiles "
-                "to nothing under -DLOB_TRACING=OFF, so side effects here "
-                "change behavior between builds"))
-            continue
-        if CALL_WITH_ARGS_RE.search(args):
-            findings.append(Finding(
-                path, lineno, "trace-span",
-                "LOB_TRACE_SPAN argument calls a function with arguments; "
-                "only nullary accessors (e.g. pool->disk()) are allowed so "
-                "the OFF build provably elides all work"))
-
-
 DISK_IO_RE = re.compile(
     r"\bdisk\w*\s*(?:\(\s*\))?\s*(?:\.|->)\s*(?:Read|Write)(?:Run)?\s*\(")
 
@@ -639,7 +568,6 @@ def lint_text(path, text):
                 hcode, _, _ = split_lines(f.read())
             extra = unordered_names(hcode)
     check_unordered(effective, code, findings, extra_decl_names=extra)
-    check_trace_span(effective, code, findings)
     check_attribution(effective, code, findings)
     check_header_hygiene(effective, code, findings)
     check_ignore_status(effective, code, comments, findings)

@@ -25,22 +25,18 @@
 //       formats include the schema-v2 metrics snapshot: per-op
 //       p50/p90/p99/max modeled ms, pool hit/miss/eviction rates, buddy
 //       free-extent stats and fault counters.
-//   lobtool trace <op-script> [esm|starburst|eos] [param] [--json=FILE]
+//   lobtool profile <op-script> [esm|starburst|eos] [param]
+//       [--format=tree|folded|json] [--out=FILE]
 //       replays the op script (workload/trace.h text format: one
 //       "<kind> <offset> <size> <seed>" per line) against a fresh
 //       in-memory system of the chosen engine (default eos) with span
-//       tracing attached, then prints the aggregated span tree with
-//       per-phase modeled-ms rollups. --json additionally writes the raw
-//       Chrome trace-event / Perfetto JSON stream.
-//   lobtool flame <op-script> [esm|starburst|eos] [param] [--out=FILE]
-//       replays the op script like `trace`, rolls the per-op attribution
-//       ledger up into the parent.child label tree and emits folded-stack
-//       flamegraph text (one "path;to;label <modeled-us>" line per node;
-//       feed to speedscope or inferno-flamegraph). Runs the span<->ledger
-//       conservation check per tree node (root total == ledger total,
-//       children never exceed their parent, every node's exclusive cost
-//       matches the trace's disk.io attribution); check results go to
-//       stderr and a violation exits 1.
+//       tracing attached, and renders the one recording in one of three
+//       views: `tree` (default) is the aggregated span tree with count,
+//       modeled ms, calls and pages per span; `folded` is that tree as
+//       folded stacks (one "path;to;span <modeled-us>" line per node with
+//       nonzero self cost; feed to speedscope or inferno-flamegraph);
+//       `json` is the Chrome trace-event / Perfetto stream. --out writes
+//       the view to FILE instead of stdout.
 //   lobtool bench-diff <baseline.json> <new.json> [--gate=FILE]
 //       [--format=table|csv|json] [--neutral-band=FRACTION]
 //       per-metric drift report between two BENCH_*.json profiles (or any
@@ -73,9 +69,7 @@
 #include "core/factory.h"
 #include "core/metrics_snapshot.h"
 #include "obs/bench_diff.h"
-#include "obs/flame.h"
 #include "trace/trace_session.h"
-#include "trace/tracing.h"
 #include "workload/trace.h"
 
 using namespace lob;
@@ -92,10 +86,8 @@ int Usage() {
                "usage: lobtool <db.img> "
                "init|create|put|cat|insert|delete|ls|rm|stat|info|stats"
                "|fsck ...\n"
-               "       lobtool trace <op-script> [esm|starburst|eos] "
-               "[param] [--json=FILE]\n"
-               "       lobtool flame <op-script> [esm|starburst|eos] "
-               "[param] [--out=FILE]\n"
+               "       lobtool profile <op-script> [esm|starburst|eos] "
+               "[param] [--format=tree|folded|json] [--out=FILE]\n"
                "       lobtool bench-diff <baseline.json> <new.json> "
                "[--gate=FILE] [--format=table|csv|json]\n");
   return 2;
@@ -137,145 +129,78 @@ StatusOr<T> ParseNumber(const std::string& text, const char* what) {
   return value;
 }
 
-/// What `trace` and `flame` share: an op script replayed on a fresh
-/// in-memory system of one engine, with span tracing attached while it
-/// ran. Members are destroyed manager first, system last.
-struct Replay {
-  std::string script;
+/// `lobtool profile <op-script> [engine] [param] [--format=F] [--out=FILE]`:
+/// replays the script on a fresh in-memory system of one engine with span
+/// tracing attached and renders the recording as a tree, folded stacks or
+/// Chrome/Perfetto JSON.
+int RunProfile(int argc, char** argv) {
+  if (argc < 3) return Usage();
+  const std::string script = argv[2];
   std::string engine_name = "eos";
-  StorageSystem sys;
-  TraceSession session;
-  std::unique_ptr<LargeObjectManager> mgr;
-  size_t ops = 0;
-  IoStats io;
-};
-
-/// Parses `<op-script> [esm|starburst|eos] [param] [<flag>FILE]` from
-/// argv[2..] and replays the script into `*r`. `flag` is the command's
-/// own file option ("--json=" or "--out="); its value goes to
-/// `*flag_value`. Any other argument is an error.
-Status ReplayScript(int argc, char** argv, const std::string& flag,
-                    std::string* flag_value, Replay* r) {
-  r->script = argv[2];
+  std::string format = "tree";
+  std::string out_path;
   uint32_t param = 0;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind(flag, 0) == 0) {
-      *flag_value = arg.substr(flag.size());
+    if (arg.rfind("--format=", 0) == 0) {
+      format = arg.substr(9);
+    } else if (arg.rfind("--out=", 0) == 0) {
+      out_path = arg.substr(6);
     } else if (ParseEngine(arg).ok()) {
-      r->engine_name = arg;
+      engine_name = arg;
     } else {
       auto parsed = ParseNumber<uint32_t>(arg, "param");
-      if (!parsed.ok()) return parsed.status();
+      if (!parsed.ok()) return Fail(parsed.status());
       param = *parsed;
     }
   }
+  if (format != "tree" && format != "folded" && format != "json") {
+    return Fail(Status::InvalidArgument("bad --format=" + format +
+                                        " (tree|folded|json)"));
+  }
 
-  auto trace = LoadTrace(r->script);
-  if (!trace.ok()) return trace.status();
-  r->sys.disk()->set_trace(&r->session);
-  if (r->engine_name == "esm") {
-    r->mgr = CreateEsmManager(&r->sys, param == 0 ? 4 : param);
-  } else if (r->engine_name == "starburst") {
-    r->mgr = CreateStarburstManager(&r->sys);
+  auto trace = LoadTrace(script);
+  if (!trace.ok()) return Fail(trace.status());
+  // Declared before the system so it outlives the disk that points at it.
+  TraceSession session;
+  StorageSystem sys;
+  sys.disk()->set_trace(&session);
+  std::unique_ptr<LargeObjectManager> mgr;
+  if (engine_name == "esm") {
+    mgr = CreateEsmManager(&sys, param == 0 ? 4 : param);
+  } else if (engine_name == "starburst") {
+    mgr = CreateStarburstManager(&sys);
   } else {
-    r->mgr = CreateEosManager(&r->sys, param == 0 ? 4 : param);
+    mgr = CreateEosManager(&sys, param == 0 ? 4 : param);
   }
-  auto id = r->mgr->Create();
-  if (!id.ok()) return id.status();
-  auto io = ApplyTrace(&r->sys, r->mgr.get(), *id, *trace);
-  if (!io.ok()) return io.status();
-  r->sys.disk()->set_trace(nullptr);
-  r->ops = trace->ops.size();
-  r->io = *io;
-  return Status::OK();
-}
+  auto id = mgr->Create();
+  if (!id.ok()) return Fail(id.status());
+  auto io = ApplyTrace(&sys, mgr.get(), *id, *trace);
+  if (!io.ok()) return Fail(io.status());
+  sys.disk()->set_trace(nullptr);
 
-/// `lobtool trace <op-script> [engine] [param] [--json=FILE]`: replay with
-/// span tracing attached and print the per-phase modeled-ms rollup.
-int RunTrace(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  std::string json_path;
-  Replay r;
-  if (Status s = ReplayScript(argc, argv, "--json=", &json_path, &r);
-      !s.ok()) {
-    return Fail(s);
-  }
-
-  std::printf("replayed %zu ops (%s) from %s\n", r.ops,
-              r.engine_name.c_str(), r.script.c_str());
-  std::printf("modeled I/O: %s\n\n", r.io.ToString().c_str());
-#if !LOB_TRACING
-  std::printf("note: span tracing compiled out (LOB_TRACING=OFF); the\n"
-              "summary below is empty. Rebuild with -DLOB_TRACING=ON.\n");
-#endif
-  TraceSession::PrintSummary(r.session.Summarize(), stdout);
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      return Fail(Status::NotFound("cannot write " + json_path));
+  std::FILE* out = stdout;
+  if (!out_path.empty()) {
+    out = std::fopen(out_path.c_str(), "w");
+    if (out == nullptr) {
+      return Fail(Status::NotFound("cannot write " + out_path));
     }
-    const std::string json = TraceSession::ChromeTraceJson(
-        {{r.engine_name + " replay of " + r.script, &r.session}});
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s (open in https://ui.perfetto.dev)\n",
-                json_path.c_str());
   }
-  return 0;
-}
-
-/// `lobtool flame <op-script> [engine] [param] [--out=FILE]`: replay the
-/// script, roll the attribution ledger up into the label tree and emit
-/// folded-stack flamegraph text. Conservation check results go to stderr.
-int RunFlame(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  std::string out_path;
-  Replay r;
-  if (Status s = ReplayScript(argc, argv, "--out=", &out_path, &r);
-      !s.ok()) {
-    return Fail(s);
-  }
-
-  const FlameGraph graph = FlameGraph::Build(*r.sys.obs());
-  const std::string folded = graph.ToFolded();
-  if (out_path.empty()) {
-    std::fputs(folded.c_str(), stdout);
+  if (format == "json") {
+    std::fputs(TraceSession::ChromeTraceJson(
+                   {{engine_name + " replay of " + script, &session}})
+                   .c_str(),
+               out);
+  } else if (format == "folded") {
+    std::fputs(TraceSession::Folded(session.Summarize()).c_str(), out);
   } else {
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) return Fail(Status::NotFound("cannot write " + out_path));
-    std::fwrite(folded.data(), 1, folded.size(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %s (feed to speedscope or inferno)\n",
-                 out_path.c_str());
+    std::fprintf(out, "replayed %zu ops (%s) from %s\n", trace->ops.size(),
+                 engine_name.c_str(), script.c_str());
+    std::fprintf(out, "modeled I/O: %s\n\n", io->ToString().c_str());
+    TraceSession::PrintSummary(session.Summarize(), out);
   }
-
-  // Conservation: structure always; span comparison only when the build
-  // records spans at all.
-  bool ok = true;
-  const FlameGraph::Check structure =
-      graph.CheckStructure(r.sys.obs()->AttributedTotal().ms);
-  for (const auto& p : structure.problems) {
-    std::fprintf(stderr, "flame structure: %s\n", p.c_str());
-  }
-  ok = ok && structure.ok;
-#if LOB_TRACING
-  const FlameGraph::Check spans =
-      graph.CheckConservation(r.session.IoMsByOp());
-  for (const auto& p : spans.problems) {
-    std::fprintf(stderr, "flame span<->ledger: %s\n", p.c_str());
-  }
-  ok = ok && spans.ok;
-  std::fprintf(stderr, "flame conservation: %s (root total %.3f ms)\n",
-               ok ? "OK" : "VIOLATED", graph.TotalMs());
-#else
-  std::fprintf(stderr,
-               "flame conservation: structure %s (root total %.3f ms); "
-               "span check skipped (LOB_TRACING=OFF)\n",
-               ok ? "OK" : "VIOLATED", graph.TotalMs());
-#endif
-  return ok ? 0 : 1;
+  if (out != stdout) std::fclose(out);
+  return 0;
 }
 
 /// `lobtool bench-diff <baseline.json> <new.json> [--gate=FILE]
@@ -348,8 +273,7 @@ int Run(int argc, char** argv) {
   const std::string image = argv[1];
   const std::string cmd = argv[2];
 
-  if (image == "trace") return RunTrace(argc, argv);
-  if (image == "flame") return RunFlame(argc, argv);
+  if (image == "profile") return RunProfile(argc, argv);
   if (image == "bench-diff") return RunBenchDiff(argc, argv);
 
   if (cmd == "init") {

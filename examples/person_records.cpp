@@ -63,6 +63,7 @@ Status Run() {
   }
 
   // --- Session 2: reopen and verify. ------------------------------------
+  bool verified = false;
   {
     auto db = Database::Open(image_path);
     LOB_RETURN_IF_ERROR(db.status());
@@ -91,10 +92,12 @@ Status Run() {
     expect.insert(100000, SyntheticMedia(3, 30000));
     std::string got;
     LOB_RETURN_IF_ERROR((*mgr)->Read(*voice, 0, expect.size(), &got));
+    verified = got == expect;
     std::printf("voice field after reopen: %s\n",
-                got == expect ? "verified byte-for-byte" : "MISMATCH");
+                verified ? "verified byte-for-byte" : "MISMATCH");
   }
   std::remove(image_path);
+  if (!verified) return Status::Corruption("voice field differs after reopen");
   return Status::OK();
 }
 

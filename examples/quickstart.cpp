@@ -15,7 +15,8 @@ using namespace lob;
 
 namespace {
 
-void Demo(const char* name,
+/// Returns false if the object could not be built.
+bool Demo(const char* name,
           std::unique_ptr<LargeObjectManager> (*make)(StorageSystem*)) {
   // A StorageSystem bundles the simulated disk, the 12-page buffer pool
   // and the two buddy-managed database areas (Table 1 defaults).
@@ -25,7 +26,7 @@ void Demo(const char* name,
   auto id = mgr->Create();
   if (!id.ok()) {
     std::printf("create failed: %s\n", id.status().ToString().c_str());
-    return;
+    return false;
   }
 
   // Objects are built by appending chunks - the way the paper expects
@@ -35,7 +36,7 @@ void Demo(const char* name,
     chunk.assign(chunk.size(), static_cast<char>('a' + i));
     if (Status s = mgr->Append(*id, chunk); !s.ok()) {
       std::printf("append failed: %s\n", s.ToString().c_str());
-      return;
+      return false;
     }
   }
 
@@ -56,6 +57,7 @@ void Demo(const char* name,
               stats.ok() ? stats->Utilization(sys.config().page_size) * 100
                          : 0.0,
               sys.stats().ms, out.c_str());
+  return true;
 }
 
 std::unique_ptr<LargeObjectManager> MakeEsm(StorageSystem* sys) {
@@ -72,12 +74,12 @@ std::unique_ptr<LargeObjectManager> MakeEos(StorageSystem* sys) {
 
 int main() {
   std::printf("lobstore quickstart: one ~1 MB object per engine\n\n");
-  Demo("ESM", MakeEsm);
-  Demo("Starburst", MakeStarburst);
-  Demo("EOS", MakeEos);
+  bool built = Demo("ESM", MakeEsm);
+  built &= Demo("Starburst", MakeStarburst);
+  built &= Demo("EOS", MakeEos);
   std::printf(
       "\nNote the modeled I/O column: same logical work, different storage\n"
       "structures - the subject of the SIGMOD '92 study this library\n"
       "reproduces.\n");
-  return 0;
+  return built ? 0 : 1;
 }

@@ -240,7 +240,18 @@ StatusOr<FsckReport> FsckDatabase(Database* db, uint32_t parameter,
     if (!mgr.ok()) return mgr.status();
     objects.emplace_back(id, *mgr);
   }
-  return FsckObjects(db->sys(), objects, extra, options);
+  auto report = FsckObjects(db->sys(), objects, extra, options);
+  if (!report.ok()) return report;
+
+  // 6. The catalog's volatile name index must match its chain.
+  Status index = db->catalog()->CheckIndex();
+  if (index.code() == StatusCode::kCorruption) {
+    report->issues.push_back({FsckIssueKind::kStructure, 0, kInvalidPage, 0,
+                              kInvalidPage, index.message()});
+  } else if (!index.ok()) {
+    return index;
+  }
+  return report;
 }
 
 }  // namespace lob

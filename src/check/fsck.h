@@ -20,6 +20,9 @@
 //   4. Allocator sweep: every allocated non-directory page of both areas
 //      must be claimed by some object (or the database superblock /
 //      catalog chain); an unclaimed allocated extent is a leak.
+//   5. Catalog index (FsckDatabase only): a rescan of the catalog chain
+//      must match the catalog's volatile name index page for page and
+//      name for name; a difference is a structure issue.
 //
 // The walk runs inside StorageSystem::UnmeteredSection, so it neither
 // perturbs measured I/O costs nor trips armed fault injections - fsck can

@@ -129,8 +129,10 @@ Status Database::DropObject(std::string_view name) {
   if (!engine.ok()) return engine.status();
   auto mgr = ManagerFor(*engine);
   if (!mgr.ok()) return mgr.status();
-  LOB_RETURN_IF_ERROR((*mgr)->Destroy(*id));
-  return catalog_->Remove(name);
+  // Unbind first: a failed Destroy then leaks the object's pages, which
+  // fsck's sweep reports, but never leaves the name bound to freed pages.
+  LOB_RETURN_IF_ERROR(catalog_->Remove(name));
+  return (*mgr)->Destroy(*id);
 }
 
 StatusOr<Engine> Database::ObjectEngine(ObjectId id) {

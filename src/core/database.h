@@ -47,7 +47,8 @@ class Database {
   /// Looks up a named object.
   [[nodiscard]] StatusOr<ObjectId> Lookup(std::string_view name);
 
-  /// Destroys a named object and unbinds it.
+  /// Unbinds a name and destroys its object. If the destroy fails, the
+  /// name is already gone and the object's pages leak (fsck reports them).
   [[nodiscard]] Status DropObject(std::string_view name);
 
   /// Which engine stores the object (read from its root/descriptor page).

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "check/fsck.h"
 #include "common/rng.h"
 #include "core/database.h"
 #include "disk_test_util.h"
@@ -175,41 +179,84 @@ TEST(ObjectCatalogTest, OverstatedCountOnFullPageIsCorruption) {
   EXPECT_EQ(cat.Pages().status().code(), StatusCode::kCorruption);
 }
 
+void SetPageNext(char* p, PageId v) { std::memcpy(p + 4, &v, 4); }
+
 /// 24-byte names: 140 entries fill a page, so 300 of them chain three
 /// pages with names 140..279 on the second.
 std::string ChainName(int i) {
   return "chained_object_name_" + std::to_string(1000 + i);
 }
 
-/// Builds a three-page chain, applies `damage` to its second page, and
-/// expects every public method to fail with Corruption. `probe` is bound
-/// on the second page, ahead of any damaged entry; a rejected Put or
-/// Remove must leave every catalog page as it was.
-void ExpectCorruptionEverywhere(const std::function<void(char*)>& damage,
-                                const std::string& probe) {
-  StorageSystem sys;
-  ObjectCatalog cat(&sys);
-  ASSERT_TRUE(cat.Create().ok());
+/// A database whose catalog chains three pages: ChainNames 0..299 less
+/// 141, so a 24-byte name no longer fits on the first page but does on
+/// the second. The ids are arbitrary; the tests that use it never reach
+/// the objects.
+void BuildThreePageCatalog(std::unique_ptr<Database>* out) {
+  auto db = Database::Create();
+  ASSERT_TRUE(db.ok());
   for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(cat.Put(ChainName(i), static_cast<ObjectId>(i)).ok());
+    ASSERT_TRUE(
+        (*db)->catalog()->Put(ChainName(i), static_cast<ObjectId>(i)).ok());
   }
-  auto pages = cat.Pages();
+  ASSERT_TRUE((*db)->catalog()->Remove(ChainName(141)).ok());
+  auto pages = (*db)->catalog()->Pages();
   ASSERT_TRUE(pages.ok());
   ASSERT_EQ(pages->size(), 3u);
-  EditPage(&sys, (*pages)[1], damage);
+  *out = std::move(*db);
+}
 
-  EXPECT_EQ(cat.Get(probe).status().code(), StatusCode::kCorruption);
-  EXPECT_EQ(cat.Contains(probe).status().code(), StatusCode::kCorruption);
-  const std::vector<std::string> before = PageBytes(&sys, *pages);
-  EXPECT_EQ(cat.Put("a_fresh_name", 9999).code(), StatusCode::kCorruption);
-  EXPECT_EQ(PageBytes(&sys, *pages), before) << "rejected Put wrote a page";
-  EXPECT_EQ(cat.Remove(probe).code(), StatusCode::kCorruption);
-  EXPECT_EQ(PageBytes(&sys, *pages), before) << "rejected Remove wrote a page";
-  EXPECT_EQ(cat.List().status().code(), StatusCode::kCorruption);
-  EXPECT_EQ(cat.Size().status().code(), StatusCode::kCorruption);
-  EXPECT_EQ(cat.Pages().status().code(), StatusCode::kCorruption);
-  // Last: Drop frees the head page before it reaches the damage.
-  EXPECT_EQ(cat.Drop().code(), StatusCode::kCorruption);
+/// Saves `db`, reopens the image and returns the open's status code.
+StatusCode ReopenCode(Database* db, const char* tag) {
+  const std::string path = TempPath(tag);
+  EXPECT_TRUE(db->Save(path).ok());
+  const StatusCode code = Database::Open(path).status().code();
+  std::remove(path.c_str());
+  return code;
+}
+
+/// Applies `damage` to the second page of a three-page chain. Present at
+/// open, the damage fails Database::Open, which validates every page.
+/// Made after open, it fails every op that fixes that page and every
+/// chain walk, and a rejected op writes nothing. `probe` is bound on the
+/// second page, ahead of any damaged entry.
+void ExpectCorruptionEverywhere(const std::function<void(char*)>& damage,
+                                const std::string& probe) {
+  std::unique_ptr<Database> db;
+  ASSERT_NO_FATAL_FAILURE(BuildThreePageCatalog(&db));
+  StorageSystem* sys = db->sys();
+  ObjectCatalog* cat = db->catalog();
+  const std::vector<PageId> pages = *cat->Pages();
+  EditPage(sys, pages[1], damage);
+  EXPECT_EQ(ReopenCode(db.get(), "damaged"), StatusCode::kCorruption);
+
+  const std::vector<std::string> before = PageBytes(sys, pages);
+  const uint64_t writes = sys->stats().write_calls;
+  EXPECT_EQ(cat->Get(probe).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(cat->Contains(probe).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(cat->Remove(probe).code(), StatusCode::kCorruption);
+  // Put fixes only the page first fit picks, and a 24-byte name fits
+  // first on the damaged page.
+  EXPECT_EQ(cat->Put(ChainName(300), 300).code(), StatusCode::kCorruption);
+  EXPECT_EQ(sys->stats().write_calls, writes) << "a rejected op wrote";
+  EXPECT_EQ(PageBytes(sys, pages), before) << "a rejected op changed a page";
+
+  // An absent name costs no I/O, and a name that fits on the first page
+  // lands there: neither meets the damage.
+  EXPECT_EQ(cat->Get("absent").status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(cat->Put("a_fresh_name", 9999).ok());
+  const std::vector<std::string> after = PageBytes(sys, pages);
+  EXPECT_NE(after[0], before[0]);
+  EXPECT_EQ(after[1], before[1]);
+  EXPECT_EQ(after[2], before[2]);
+
+  EXPECT_EQ(cat->List().status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(cat->Size().status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(cat->Pages().status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(FsckDatabase(db.get()).status().code(), StatusCode::kCorruption);
+  // Drop walks the whole chain before it frees a page.
+  const uint64_t allocated = sys->meta_area()->allocated_pages();
+  EXPECT_EQ(cat->Drop().code(), StatusCode::kCorruption);
+  EXPECT_EQ(sys->meta_area()->allocated_pages(), allocated);
 }
 
 TEST(ObjectCatalogTest, BadMagicOnSecondPageIsCorruption) {
@@ -229,6 +276,159 @@ TEST(ObjectCatalogTest, TruncatedEntryAfterMatchIsCorruption) {
       ChainName(278));
 }
 
+TEST(ObjectCatalogTest, LoopingNextLinkIsCorruption) {
+  std::unique_ptr<Database> db;
+  ASSERT_NO_FATAL_FAILURE(BuildThreePageCatalog(&db));
+  ObjectCatalog* cat = db->catalog();
+  const std::vector<PageId> pages = *cat->Pages();
+  // The third page links back to the second.
+  EditPage(db->sys(), pages[2],
+           [&](char* p) { SetPageNext(p, pages[1]); });
+  EXPECT_EQ(ReopenCode(db.get(), "loop"), StatusCode::kCorruption);
+
+  EXPECT_EQ(cat->List().status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(cat->Size().status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(cat->Pages().status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(cat->CheckIndex().code(), StatusCode::kCorruption);
+  EXPECT_EQ(FsckDatabase(db.get()).status().code(), StatusCode::kCorruption);
+  const uint64_t allocated = db->sys()->meta_area()->allocated_pages();
+  EXPECT_EQ(cat->Drop().code(), StatusCode::kCorruption);
+  EXPECT_EQ(db->sys()->meta_area()->allocated_pages(), allocated);
+  // Lookups never follow the chain.
+  EXPECT_EQ(cat->Get("absent").status().code(), StatusCode::kNotFound);
+  auto id = cat->Get(ChainName(250));
+  ASSERT_TRUE(id.ok());
+  EXPECT_EQ(*id, 250u);
+}
+
+/// What a catalog op may move: the disk's counters and the pool's.
+struct IoSnapshot {
+  IoStats io;
+  uint64_t hits, misses, evictions;
+
+  explicit IoSnapshot(StorageSystem* sys)
+      : io(sys->stats()),
+        hits(sys->pool()->hits()),
+        misses(sys->pool()->misses()),
+        evictions(sys->pool()->evictions()) {}
+  uint64_t fixes() const { return hits + misses; }
+  bool operator==(const IoSnapshot& o) const {
+    return io.read_calls == o.io.read_calls &&
+           io.write_calls == o.io.write_calls &&
+           io.pages_read == o.io.pages_read &&
+           io.pages_written == o.io.pages_written && io.ms == o.io.ms &&
+           hits == o.hits && misses == o.misses && evictions == o.evictions;
+  }
+};
+
+TEST(ObjectCatalogTest, IndexedLookupsFixAtMostOnePage) {
+  std::unique_ptr<Database> db;
+  ASSERT_NO_FATAL_FAILURE(BuildThreePageCatalog(&db));
+  ObjectCatalog* cat = db->catalog();
+  StorageSystem* sys = db->sys();
+  const IoSnapshot before(sys);
+  EXPECT_EQ(cat->Get("absent").status().code(), StatusCode::kNotFound);
+  auto has = cat->Contains("absent");
+  ASSERT_TRUE(has.ok());
+  EXPECT_FALSE(*has);
+  EXPECT_EQ(cat->Put(ChainName(299), 1).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(cat->Put("", 1).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(cat->Remove("absent").code(), StatusCode::kNotFound);
+  EXPECT_TRUE(IoSnapshot(sys) == before)
+      << "an absent name or a duplicate Put did I/O";
+
+  for (int i : {0, 200, 299}) {
+    const IoSnapshot pre(sys);
+    auto id = cat->Get(ChainName(i));
+    ASSERT_TRUE(id.ok());
+    EXPECT_EQ(*id, static_cast<ObjectId>(i));
+    EXPECT_EQ(IoSnapshot(sys).fixes(), pre.fixes() + 1) << ChainName(i);
+  }
+}
+
+// Seeded differential test against std::map: Put, Get and Remove over a
+// pool of names of 3..255 bytes, with duplicate and absent names, the
+// empty name and a 256-byte one, and a Save + Open every 500 ops. The
+// reopened catalog must hold the same pages, byte for byte.
+TEST(ObjectCatalogTest, MatchesMapModelAcrossReopens) {
+  const std::string path = TempPath("catalog_model");
+  Rng rng(20261017);
+  std::vector<std::string> names;
+  for (int i = 0; i < 400; ++i) {
+    std::string name = std::to_string(i) + ":";
+    const size_t len = rng.Uniform(name.size(), 255);
+    while (name.size() < len) {
+      name += static_cast<char>('a' + rng.Uniform(0, 25));
+    }
+    names.push_back(name);
+  }
+  const std::string too_long(256, 'z');
+  std::map<std::string, ObjectId> model;
+  auto made = Database::Create();
+  ASSERT_TRUE(made.ok());
+  std::unique_ptr<Database> db = std::move(*made);
+  size_t max_pages = 0;
+  for (int op = 0; op < 3500; ++op) {
+    const uint64_t pick = rng.Uniform(0, 99);
+    const std::string& name = pick == 0   ? std::string()
+                              : pick == 1 ? too_long
+                                          : names[rng.Uniform(0, 399)];
+    const bool valid = !name.empty() && name.size() <= 255;
+    ObjectCatalog* cat = db->catalog();
+    auto it = model.find(name);
+    const uint64_t kind = rng.Uniform(0, 9);
+    if (kind < 4) {
+      const auto id = static_cast<ObjectId>(rng.Next());
+      Status st = cat->Put(name, id);
+      if (!valid || it != model.end()) {
+        EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << op;
+      } else {
+        ASSERT_TRUE(st.ok()) << op << ": " << st.ToString();
+        model.emplace(name, id);
+      }
+    } else if (kind < 7) {
+      auto got = cat->Get(name);
+      if (it == model.end()) {
+        EXPECT_EQ(got.status().code(), StatusCode::kNotFound) << op;
+      } else {
+        ASSERT_TRUE(got.ok()) << op << ": " << got.status().ToString();
+        EXPECT_EQ(*got, it->second) << op;
+      }
+    } else {
+      Status st = cat->Remove(name);
+      if (it == model.end()) {
+        EXPECT_EQ(st.code(), StatusCode::kNotFound) << op;
+      } else {
+        ASSERT_TRUE(st.ok()) << op << ": " << st.ToString();
+        model.erase(it);
+      }
+    }
+    if (op % 500 != 499) continue;
+
+    auto list = cat->List();
+    ASSERT_TRUE(list.ok());
+    const std::map<std::string, ObjectId> listed(list->begin(), list->end());
+    EXPECT_EQ(listed.size(), list->size()) << "List repeats a name";
+    EXPECT_EQ(listed, model) << op;
+    EXPECT_TRUE(cat->CheckIndex().ok()) << op;
+    auto pages = cat->Pages();
+    ASSERT_TRUE(pages.ok());
+    max_pages = std::max(max_pages, pages->size());
+    const std::vector<std::string> bytes = PageBytes(db->sys(), *pages);
+    ASSERT_TRUE(db->Save(path).ok());
+    auto reopened = Database::Open(path);
+    ASSERT_TRUE(reopened.ok()) << op << ": " << reopened.status().ToString();
+    db = std::move(*reopened);
+    auto reopened_pages = db->catalog()->Pages();
+    ASSERT_TRUE(reopened_pages.ok());
+    EXPECT_EQ(*reopened_pages, *pages) << op;
+    EXPECT_EQ(PageBytes(db->sys(), *reopened_pages), bytes) << op;
+    EXPECT_TRUE(db->catalog()->CheckIndex().ok()) << op;
+  }
+  EXPECT_GE(max_pages, 4u) << "the names should chain several pages";
+  std::remove(path.c_str());
+}
+
 uint64_t Fnv1a(std::string_view bytes) {
   uint64_t h = 0xcbf29ce484222325ULL;
   for (char c : bytes) {
@@ -241,11 +441,13 @@ uint64_t Fnv1a(std::string_view bytes) {
 // Pins the catalog's metered I/O, the pool's counters and the bytes of
 // every catalog page over a deterministic script of creates (all three
 // engines, names of 4..43 bytes), drops from the middle of the chain,
-// duplicate creates and lookups of present and absent names. The values
-// come from a catalog that copied each page into owned entries and
+// duplicate creates and lookups of present and absent names. The page
+// hashes come from a catalog that copied each page into owned entries and
 // rewrote it whole, the reference for the page format: a catalog that
-// fixes, flushes, allocates or frees other pages, in another order, or
-// writes other bytes, fails here.
+// places entries elsewhere or writes other bytes fails here. The I/O and
+// pool counters come from the name-indexed catalog, which fixes only the
+// page an op reads or writes: one that fixes, flushes, allocates or frees
+// other pages, or in another order, fails here.
 TEST(ObjectCatalogTest, GoldenIoAndPageBytes) {
   auto made = Database::Create();
   ASSERT_TRUE(made.ok());
@@ -299,13 +501,13 @@ TEST(ObjectCatalogTest, GoldenIoAndPageBytes) {
 
   const IoStats io = db->sys()->stats();
   const BufferPool* pool = db->sys()->pool();
-  EXPECT_EQ(io.read_calls, 11176u);
-  EXPECT_EQ(io.write_calls, 3368u);
-  EXPECT_EQ(io.pages_read, 11176u);
-  EXPECT_EQ(io.pages_written, 3368u);
-  EXPECT_EQ(pool->hits(), 5127u);
-  EXPECT_EQ(pool->misses(), 11176u);
-  EXPECT_EQ(pool->evictions(), 12299u);
+  EXPECT_EQ(io.read_calls, 3327u);
+  EXPECT_EQ(io.write_calls, 3367u);
+  EXPECT_EQ(io.pages_read, 3327u);
+  EXPECT_EQ(io.pages_written, 3367u);
+  EXPECT_EQ(pool->hits(), 5118u);
+  EXPECT_EQ(pool->misses(), 3327u);
+  EXPECT_EQ(pool->evictions(), 4450u);
   std::vector<uint64_t> hashes;
   for (const std::string& bytes : PageBytes(db->sys(), *pages)) {
     hashes.push_back(Fnv1a(bytes));
@@ -432,6 +634,139 @@ TEST(DatabaseTest, DropObjectFreesAndUnbinds) {
   ASSERT_TRUE((*db)->DropObject("blob").ok());
   EXPECT_EQ((*db)->sys()->leaf_area()->allocated_pages(), 0u);
   EXPECT_EQ((*db)->Lookup("blob").status().code(), StatusCode::kNotFound);
+}
+
+/// A one-shot fault on the next write of meta page `page`.
+FaultSpec WriteFaultOn(Database* db, PageId page) {
+  FaultSpec spec;
+  spec.match_reads = false;
+  spec.match_range = true;
+  spec.area = db->sys()->meta_area()->id();
+  spec.first_page = page;
+  spec.last_page = page;
+  return spec;
+}
+
+/// `name` resolves to an object root exactly when `bound`, and fsck finds
+/// the database clean.
+void ExpectBoundAndClean(Database* db, std::string_view name, bool bound) {
+  auto found = db->Lookup(name);
+  if (bound) {
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    EXPECT_TRUE(db->ObjectEngine(*found).ok());
+  } else {
+    EXPECT_EQ(found.status().code(), StatusCode::kNotFound);
+  }
+  auto report = FsckDatabase(db);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report->HasCorruption()) << report->ToString();
+  EXPECT_TRUE(report->clean()) << report->ToString();
+}
+
+TEST(DatabaseTest, FailedCatalogWriteInCreateLeavesNameUnbound) {
+  auto db = Database::Create();
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)->CreateObject("a", Engine::kEsm).ok());
+  (*db)->sys()->disk()->ArmFault(
+      WriteFaultOn(db->get(), (*db)->catalog()->head()));
+  EXPECT_EQ((*db)->CreateObject("b", Engine::kEsm).status().code(),
+            StatusCode::kInternal);
+  ExpectBoundAndClean(db->get(), "b", false);
+  ExpectBoundAndClean(db->get(), "a", true);
+  ASSERT_TRUE((*db)->CreateObject("b", Engine::kEsm).ok());
+  ExpectBoundAndClean(db->get(), "b", true);
+}
+
+TEST(DatabaseTest, FailedCatalogWriteInDropKeepsObjectBound) {
+  auto db = Database::Create();
+  ASSERT_TRUE(db.ok());
+  auto id = (*db)->CreateObject("b", Engine::kEos, 4);
+  ASSERT_TRUE(id.ok());
+  auto mgr = (*db)->ManagerForObject(*id);
+  ASSERT_TRUE(mgr.ok());
+  const std::string bytes = Pattern(3, 20000);
+  ASSERT_TRUE((*mgr)->Append(*id, bytes).ok());
+  (*db)->sys()->disk()->ArmFault(
+      WriteFaultOn(db->get(), (*db)->catalog()->head()));
+  EXPECT_EQ((*db)->DropObject("b").code(), StatusCode::kInternal);
+  ExpectBoundAndClean(db->get(), "b", true);
+  std::string got;
+  ASSERT_TRUE((*mgr)->Read(*id, 0, bytes.size(), &got).ok());
+  EXPECT_EQ(got, bytes);
+  ASSERT_TRUE((*db)->DropObject("b").ok());
+  ExpectBoundAndClean(db->get(), "b", false);
+}
+
+TEST(DatabaseTest, FailedCatalogWriteWhileGrowingChainLeavesNameUnbound) {
+  // 140 ChainNames fill the head page, so binding one more links a fresh
+  // page: one write to the head links it, one to the fresh page binds.
+  auto fill = [](std::unique_ptr<Database>* out) {
+    auto db = Database::Create();
+    ASSERT_TRUE(db.ok());
+    for (int i = 0; i < 140; ++i) {
+      ASSERT_TRUE((*db)->CreateObject(ChainName(i), Engine::kStarburst).ok());
+    }
+    *out = std::move(*db);
+  };
+  std::unique_ptr<Database> db;
+  ASSERT_NO_FATAL_FAILURE(fill(&db));
+  ASSERT_TRUE(db->CreateObject(ChainName(140), Engine::kStarburst).ok());
+  const std::vector<PageId> grown = *db->catalog()->Pages();
+  ASSERT_EQ(grown.size(), 2u);
+
+  for (PageId faulted : grown) {  // the link, then the binding
+    ASSERT_NO_FATAL_FAILURE(fill(&db));
+    db->sys()->disk()->ArmFault(WriteFaultOn(db.get(), faulted));
+    EXPECT_EQ(db->CreateObject(ChainName(140), Engine::kStarburst)
+                  .status()
+                  .code(),
+              StatusCode::kInternal)
+        << "fault on page " << faulted;
+    ExpectBoundAndClean(db.get(), ChainName(140), false);
+    ASSERT_TRUE(db->CreateObject(ChainName(140), Engine::kStarburst).ok());
+    ExpectBoundAndClean(db.get(), ChainName(140), true);
+    EXPECT_EQ(*db->catalog()->Pages(), grown);
+  }
+}
+
+TEST(DatabaseTest, FsckReportsNameIndexDrift) {
+  auto db = Database::Create();
+  ASSERT_TRUE(db.ok());
+  for (const char* name : {"a", "b", "c"}) {
+    ASSERT_TRUE((*db)->CreateObject(name, Engine::kStarburst).ok());
+  }
+  ExpectBoundAndClean(db->get(), "c", true);
+  // Cut the last entry, "c" (1 + 1 + 4 bytes), off the head page behind
+  // the catalog's back.
+  EditPage((*db)->sys(), (*db)->catalog()->head(), [](char* p) {
+    SetPageCount(p, static_cast<uint16_t>(PageCount(p) - 1));
+    SetPageUsed(p, static_cast<uint16_t>(PageUsed(p) - 6));
+  });
+  auto report = FsckDatabase(db->get());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->HasCorruption());
+  EXPECT_TRUE(std::any_of(
+      report->issues.begin(), report->issues.end(), [](const FsckIssue& i) {
+        return i.kind == FsckIssueKind::kStructure &&
+               i.detail.find("catalog index") != std::string::npos;
+      }))
+      << report->ToString();
+  // The page no longer ends where the index says, so an op that fixes it
+  // fails instead of binding "d" past a stale entry.
+  EXPECT_EQ((*db)->Lookup("c").status().code(), StatusCode::kCorruption);
+  EXPECT_EQ((*db)->CreateObject("d", Engine::kStarburst).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(DatabaseTest, DuplicateNameInImageIsCorruption) {
+  auto db = Database::Create();
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)->catalog()->Put("aa", 1).ok());
+  ASSERT_TRUE((*db)->catalog()->Put("ab", 2).ok());
+  // The second entry starts at 12 + 7; its name's second byte is at +2.
+  EditPage((*db)->sys(), (*db)->catalog()->head(),
+           [](char* p) { p[12 + 7 + 2] = 'a'; });
+  EXPECT_EQ(ReopenCode(db->get(), "duplicate"), StatusCode::kCorruption);
 }
 
 TEST(DatabaseTest, SaveAndReopenPreservesEverything) {

@@ -134,13 +134,6 @@ inline void WriteTextFile(const std::string& path,
   std::fclose(f);
 }
 
-/// Writes the registry's JSON and/or CSV export; empty paths are skipped.
-inline void ExportObs(StorageSystem* sys, const std::string& json_path,
-                      const std::string& csv_path) {
-  WriteTextFile(json_path, sys->obs()->ToJson());
-  WriteTextFile(csv_path, sys->obs()->ToCsv());
-}
-
 /// Common command line handling.
 struct BenchArgs {
   uint64_t object_bytes = 10ull * 1024 * 1024;

@@ -151,11 +151,12 @@ struct CellResult {
   double pages = 0;  ///< modeled pages transferred by the cell
 };
 
-// `agg` accumulates every cell's registry (ledger + histograms + pool
-// counters) so the profile can embed one aggregate metrics snapshot
-// covering all three engines' op labels.
+// `agg` accumulates every cell's ledger and `pool` its pool counters, so
+// the profile can embed one aggregate metrics snapshot covering all three
+// engines' op labels.
 CellResult RunThroughputCell(const bench::EngineSpec& spec, uint64_t seed,
-                             ObsRegistry* agg) {
+                             ObsRegistry* agg,
+                             MetricsSnapshot::PoolStats* pool) {
   // LOBLINT(wallclock): cell-throughput self-timing; the wall clock
   // feeds BENCH_*.json metrics, never modeled output.
   const auto t0 = std::chrono::steady_clock::now();
@@ -173,8 +174,10 @@ CellResult RunThroughputCell(const bench::EngineSpec& spec, uint64_t seed,
   mix.seed = 7 + seed;
   auto points = RunUpdateMix(&sys, mgr.get(), *id, mix);
   LOB_CHECK_OK(points.status());
-  sys.pool()->PublishCounters(sys.obs());
   agg->MergeFrom(*sys.obs());
+  pool->hits += sys.pool()->hits();
+  pool->misses += sys.pool()->misses();
+  pool->evictions += sys.pool()->evictions();
   // LOBLINT(wallclock): see above.
   const auto t1 = std::chrono::steady_clock::now();
   CellResult r;
@@ -197,9 +200,10 @@ int RunCellThroughput(uint32_t n_cells, const std::string& json_path) {
   double wall_ms = 0;
   double pages = 0;
   ObsRegistry agg;
+  MetricsSnapshot::PoolStats pool;
   for (uint32_t i = 0; i < n_cells; ++i) {
     const bench::EngineSpec& spec = specs[i % specs.size()];
-    const CellResult r = RunThroughputCell(spec, i, &agg);
+    const CellResult r = RunThroughputCell(spec, i, &agg, &pool);
     profile.AddCell(spec.label + " #" + std::to_string(i), r.wall_ms, 0);
     wall_ms += r.wall_ms;
     pages += r.pages;
@@ -208,7 +212,9 @@ int RunCellThroughput(uint32_t n_cells, const std::string& json_path) {
   // per-op percentile table spans all three engines, and the CI
   // bench-diff gate reads its p99_ms columns. Purely modeled state,
   // byte-identical run to run.
-  profile.set_snapshot_json(MetricsSnapshot::FromRegistry(agg).ToJson("  "));
+  MetricsSnapshot snap = MetricsSnapshot::FromRegistry(agg);
+  snap.pool = pool;
+  profile.set_snapshot_json(snap.ToJson("  "));
   const double secs = wall_ms / 1000.0;
   const double cells_per_sec = secs > 0 ? n_cells / secs : 0;
   const double pages_per_sec = secs > 0 ? pages / secs : 0;

@@ -131,13 +131,6 @@ Status DatabaseArea::SyncDirectories() {
   return first;
 }
 
-bool DatabaseArea::NeedsDirectorySync() const {
-  for (bool b : needs_sync_) {
-    if (b) return true;
-  }
-  return false;
-}
-
 Status DatabaseArea::RecoverSpaces(const SimDisk& disk) {
   if (!spaces_.empty()) {
     return Status::Internal("recover requires a fresh area");

@@ -76,9 +76,6 @@ class DatabaseArea {
   /// Call before persisting the area (Database::Save does).
   [[nodiscard]] Status SyncDirectories();
 
-  /// True if some space's on-disk directory lags the in-memory tree.
-  bool NeedsDirectorySync() const;
-
   AreaId id() const { return area_; }
 
   /// Largest segment this area can ever allocate, in pages.

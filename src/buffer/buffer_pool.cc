@@ -8,7 +8,6 @@
 
 #include "common/logging.h"
 #include "common/math_util.h"
-#include "obs/obs_registry.h"
 #include "trace/trace_span.h"
 
 namespace lob {
@@ -661,12 +660,6 @@ void BufferPool::RestoreState(const State& state) {
   hits_ = state.hits;
   misses_ = state.misses;
   evictions_ = state.evictions;
-}
-
-void BufferPool::PublishCounters(ObsRegistry* obs) const {
-  obs->Counter("pool.fix_hits") = hits_;
-  obs->Counter("pool.fix_misses") = misses_;
-  obs->Counter("pool.evictions") = evictions_;
 }
 
 }  // namespace lob

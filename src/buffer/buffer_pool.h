@@ -43,7 +43,6 @@
 namespace lob {
 
 class BufferPool;
-class ObsRegistry;
 
 /// RAII pin on one page frame. Movable, not copyable; unpins on destruction.
 class PageGuard {
@@ -161,13 +160,6 @@ class BufferPool {
   uint64_t misses() const { return misses_; }
   /// Number of valid frames evicted to make room (dirty or clean).
   uint64_t evictions() const { return evictions_; }
-
-  /// Copies the pool counters into `obs` as the `pool.fix_hits`,
-  /// `pool.fix_misses` and `pool.evictions` counters (overwriting, not
-  /// accumulating, so repeated exports stay idempotent). The counters
-  /// live here as plain fields to keep FixPage off the registry's map
-  /// lookups; exporters call this at snapshot time instead.
-  void PublishCounters(ObsRegistry* obs) const;
 
   /// One entry of the ordered cached-page enumeration below.
   struct CachedPage {

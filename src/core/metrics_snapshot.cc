@@ -24,6 +24,12 @@ MetricsSnapshot::AreaStats SnapshotArea(const DatabaseArea& area) {
 
 }  // namespace
 
+double MetricsSnapshot::PoolStats::HitRate() const {
+  const uint64_t fixes = hits + misses;
+  return fixes == 0 ? 0.0
+                    : static_cast<double>(hits) / static_cast<double>(fixes);
+}
+
 MetricsSnapshot MetricsSnapshot::FromRegistry(const ObsRegistry& obs) {
   MetricsSnapshot snap;
   for (const auto& [label, rec] : obs.ops()) {
@@ -32,33 +38,21 @@ MetricsSnapshot MetricsSnapshot::FromRegistry(const ObsRegistry& obs) {
     op.io = rec.io;
     op.mean_ms =
         rec.count == 0 ? 0.0 : rec.io.ms / static_cast<double>(rec.count);
-    auto it = obs.histograms().find(label + ".ms");
-    if (it != obs.histograms().end() && it->second.count() > 0) {
-      const Histogram& h = it->second;
-      op.has_histogram = true;
-      op.p50_ms = h.Quantile(0.5);
-      op.p90_ms = h.Quantile(0.9);
-      op.p99_ms = h.Quantile(0.99);
-      op.max_ms = h.max();
-    }
+    op.p50_ms = rec.ms.Quantile(0.5);
+    op.p90_ms = rec.ms.Quantile(0.9);
+    op.p99_ms = rec.ms.Quantile(0.99);
+    op.max_ms = rec.ms.max();
     snap.ops[label] = op;
   }
-  snap.counters = obs.counters();
   return snap;
 }
 
 MetricsSnapshot MetricsSnapshot::Collect(StorageSystem* sys) {
-  sys->pool()->PublishCounters(sys->obs());
   MetricsSnapshot snap = FromRegistry(*sys->obs());
   snap.has_substrate = true;
   snap.pool.hits = sys->pool()->hits();
   snap.pool.misses = sys->pool()->misses();
   snap.pool.evictions = sys->pool()->evictions();
-  const uint64_t fixes = snap.pool.hits + snap.pool.misses;
-  snap.pool.hit_rate =
-      fixes == 0 ? 0.0
-                 : static_cast<double>(snap.pool.hits) /
-                       static_cast<double>(fixes);
   snap.faults.armed = sys->disk()->armed_faults();
   snap.faults.fired = sys->disk()->faults_fired();
   snap.faults.foreground_calls = sys->disk()->foreground_calls();
@@ -105,16 +99,6 @@ std::string MetricsSnapshot::ToJson(const std::string& indent) const {
     AppendF(&out, "\n%s}", in.c_str());
   }
 
-  section("counters");
-  out += "{";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    AppendF(&out, "%s\n%s\"%s\": %llu", first ? "" : ",", in2.c_str(),
-            JsonEscape(name).c_str(), static_cast<unsigned long long>(value));
-    first = false;
-  }
-  AppendF(&out, "%s%s}", first ? "" : "\n", first ? "" : in.c_str());
-
   if (has_substrate) {
     section("faults");
     AppendF(&out,
@@ -125,7 +109,7 @@ std::string MetricsSnapshot::ToJson(const std::string& indent) const {
 
   section("ops");
   out += "{";
-  first = true;
+  bool first = true;
   for (const auto& [label, op] : ops) {
     AppendF(&out,
             "%s\n%s\"%s\": {\"count\": %llu, \"max_ms\": %llu, "
@@ -142,15 +126,13 @@ std::string MetricsSnapshot::ToJson(const std::string& indent) const {
   }
   AppendF(&out, "%s%s}", first ? "" : "\n", first ? "" : in.c_str());
 
-  if (has_substrate) {
-    section("pool");
-    AppendF(&out,
-            "{\"evictions\": %llu, \"hit_rate\": %.6f, \"hits\": %llu, "
-            "\"misses\": %llu}",
-            static_cast<unsigned long long>(pool.evictions), pool.hit_rate,
-            static_cast<unsigned long long>(pool.hits),
-            static_cast<unsigned long long>(pool.misses));
-  }
+  section("pool");
+  AppendF(&out,
+          "{\"evictions\": %llu, \"hit_rate\": %.6f, \"hits\": %llu, "
+          "\"misses\": %llu}",
+          static_cast<unsigned long long>(pool.evictions), pool.HitRate(),
+          static_cast<unsigned long long>(pool.hits),
+          static_cast<unsigned long long>(pool.misses));
 
   section("schema_version");
   out += "2";

@@ -1,13 +1,13 @@
 // MetricsSnapshot: one unified, sorted-key JSON block of everything the
 // simulator knows about a cell's health — the per-op percentile table
-// (p50/p90/p99/max modeled ms from the registry's log2 histograms),
+// (p50/p90/p99/max modeled ms from each ledger record's histogram),
 // buffer-pool hit/miss/eviction rates, buddy-allocator free-extent
 // stats for both areas, and the fault-model fire counters.
 //
-// This is schema v2 of the bench metrics story: BenchProfile embeds one
-// snapshot per cell (and bench drivers one aggregate) in BENCH_*.json,
-// `lobtool stats` emits one next to the raw registry, and `lobtool
-// bench-diff` flattens the block into gateable metric paths
+// This is schema v2 of the bench metrics story and the registry's only
+// JSON view: BenchProfile embeds one snapshot per cell (and bench drivers
+// one aggregate) in BENCH_*.json, `lobtool stats json` prints one, and
+// `lobtool bench-diff` flattens the block into gateable metric paths
 // ("metrics_snapshot.ops.esm.append.p99_ms"). Every field derives from
 // modeled state only, so a snapshot is byte-identical for any --jobs.
 //
@@ -29,15 +29,13 @@ namespace lob {
 class StorageSystem;
 
 struct MetricsSnapshot {
-  /// Percentile row for one op label, derived from the `<label>.ms`
-  /// histogram plus the attribution ledger.
+  /// Percentile row for one op label, derived from its ledger record.
   struct OpStats {
     uint64_t count = 0;
-    IoStats io;                  ///< exclusive attributed I/O
-    double mean_ms = 0;          ///< io.ms / count (exact)
+    IoStats io;          ///< exclusive attributed I/O
+    double mean_ms = 0;  ///< io.ms / count (exact)
     double p50_ms = 0, p90_ms = 0, p99_ms = 0;
     uint64_t max_ms = 0;
-    bool has_histogram = false;  ///< false for ledger-only labels
   };
 
   /// Buddy-allocator state of one database area.
@@ -53,7 +51,7 @@ struct MetricsSnapshot {
   struct PoolStats {
     uint64_t hits = 0, misses = 0, evictions = 0;
     /// hits / (hits + misses); 0 when no fixes happened.
-    double hit_rate = 0;
+    double HitRate() const;
   };
 
   struct FaultStats {
@@ -63,21 +61,20 @@ struct MetricsSnapshot {
   };
 
   std::map<std::string, OpStats> ops;
-  std::map<std::string, uint64_t> counters;
+  /// Filled by Collect; an aggregate sums its cells' pools into it.
   PoolStats pool;
   FaultStats faults;
   std::map<std::string, AreaStats> areas;  ///< "leaf", "meta"
-  /// True when pool/faults/areas were populated (Collect); a registry-
-  /// only snapshot (FromRegistry) leaves them out of the JSON.
+  /// True when faults/areas were populated (Collect); a registry-only
+  /// snapshot (FromRegistry) leaves them out of the JSON.
   bool has_substrate = false;
 
-  /// Full snapshot of a live system. Publishes the pool counters into
-  /// the registry first (so `lobtool stats` and --obs exports see them),
-  /// then captures ops, counters, pool, allocator and fault state.
+  /// Full snapshot of a live system: ops, pool, allocator and fault
+  /// state.
   static MetricsSnapshot Collect(StorageSystem* sys);
 
-  /// Ops + counters only, from a bare registry (used for aggregate
-  /// views merged across cells, where no single substrate exists).
+  /// Ops only, from a bare registry (used for aggregate views merged
+  /// across cells, where no single substrate exists).
   static MetricsSnapshot FromRegistry(const ObsRegistry& obs);
 
   /// Sorted-key JSON object. `indent` is the base indentation prefixed

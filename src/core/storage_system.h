@@ -38,8 +38,8 @@ class StorageSystem {
   /// allocate nothing; nested users follow mark/rewind stack discipline.
   ScratchArena* arena() { return &arena_; }
 
-  /// Metrics registry: named counters/histograms plus the per-operation
-  /// I/O attribution ledger fed by OpScope tags on the disk.
+  /// Per-operation I/O ledger: one record (op count, attributed I/O, ms
+  /// histogram) per OpScope label on the disk.
   ObsRegistry* obs() { return obs_.get(); }
   const ObsRegistry* obs() const { return obs_.get(); }
 

@@ -61,10 +61,6 @@ void SimDisk::ArmFault(const FaultSpec& spec) {
   faults_.push_back(std::move(armed));
 }
 
-void SimDisk::ArmPlan(const FaultPlan& plan) {
-  for (const FaultSpec& spec : plan.faults) ArmFault(spec);
-}
-
 uint32_t SimDisk::armed_faults() const {
   uint32_t n = 0;
   for (const ArmedFault& f : faults_) {
@@ -103,17 +99,7 @@ Status SimDisk::CheckFaults(bool is_read, AreaId area, PageId first,
   for (ArmedFault& f : faults_) {
     if (f.exhausted || !matches(f.spec)) continue;
     if (f.matched_calls < f.spec.after_calls) continue;
-    ++f.fired;
-    switch (f.spec.kind) {
-      case FaultKind::kOneShot:
-        f.exhausted = true;
-        break;
-      case FaultKind::kTransient:
-        if (f.fired >= f.spec.fail_calls) f.exhausted = true;
-        break;
-      case FaultKind::kSticky:
-        break;
-    }
+    if (f.spec.kind == FaultKind::kOneShot) f.exhausted = true;
     ++faults_fired_;
     return Status::Internal(f.spec.message);
   }

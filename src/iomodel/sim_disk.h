@@ -128,10 +128,6 @@ class SimDisk {
   /// faults are due on the same call, the earliest-armed one fires.
   void ArmFault(const FaultSpec& spec);
 
-  /// Arms every fault of `plan` (in order) in addition to any already
-  /// armed.
-  void ArmPlan(const FaultPlan& plan);
-
   /// Disarms all faults.
   void ClearFaults() { faults_.clear(); }
 
@@ -166,6 +162,13 @@ class SimDisk {
   }
   ObsRegistry* obs() const { return obs_; }
 
+  /// The registry OpScope should record an op's end into right now: the
+  /// attached registry, or nullptr while attribution is suspended by an
+  /// UnmeteredSection (whose ops the ledger does not see either).
+  ObsRegistry* active_obs() const {
+    return attribution_suspended_ == 0 ? obs_ : nullptr;
+  }
+
   /// Current logical-operation label; managed by OpScope (nullptr when no
   /// operation is active). Switching labels drops the cached attribution
   /// record so the ledger entry is resolved once per operation, not once
@@ -180,8 +183,9 @@ class SimDisk {
   /// into the global stats but not charged to any label; used by
   /// StorageSystem::UnmeteredSection, which restores the global stats on
   /// exit — so conservation is preserved on both sides of the section.
-  /// Span recording is suspended with attribution: no span opens inside
-  /// a section, whose cost is about to be un-happened by SetStats.
+  /// Op ends and spans are suspended with attribution: no op is counted
+  /// and no span opens inside a section, whose cost is about to be
+  /// un-happened by SetStats.
   void SuspendAttribution() { ++attribution_suspended_; }
   void ResumeAttribution() { --attribution_suspended_; }
 
@@ -210,7 +214,6 @@ class SimDisk {
   struct ArmedFault {
     FaultSpec spec;
     uint64_t matched_calls = 0;  ///< matching calls that succeeded so far
-    uint32_t fired = 0;          ///< matching calls this fault failed
     bool exhausted = false;
   };
 

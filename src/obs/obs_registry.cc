@@ -1,8 +1,6 @@
 #include "obs/obs_registry.h"
 
 #include <cmath>
-#include <cstdio>
-#include <string_view>
 
 #include "common/csv.h"
 #include "common/json.h"
@@ -27,9 +25,10 @@ double Histogram::Quantile(double q) const {
     const uint64_t n = buckets_[i];
     if (n == 0) continue;
     if (target < static_cast<double>(cum) + static_cast<double>(n)) {
+      // Bucket 0 holds only 0 and bucket 1 only 1: nothing to interpolate.
+      if (i <= 1) return static_cast<double>(i);
       const double lo = static_cast<double>(BucketLowerBound(i));
-      const double hi = i == 0 ? 1.0
-                        : i == kBuckets - 1
+      const double hi = i == kBuckets - 1
                             ? static_cast<double>(max_) + 1.0
                             : static_cast<double>(uint64_t{1} << i);
       const double pos = target - static_cast<double>(cum);
@@ -68,27 +67,21 @@ uint64_t Histogram::BucketLowerBound(int i) {
   return uint64_t{1} << (i - 1);
 }
 
+ObsRegistry::OpRecord* ObsRegistry::AttributionRecord(
+    std::string_view label) {
+  auto it = ops_.find(label);
+  if (it == ops_.end()) {
+    it = ops_.emplace(std::string(label), OpRecord()).first;
+  }
+  return &it->second;
+}
+
 void ObsRegistry::RecordOpEnd(const char* label, const IoStats& op_delta,
                               bool /*unused*/) {
-  // One heterogeneous lookup per op end; the label's ledger record and
-  // histogram destinations are resolved (and their name strings built)
-  // only the first time the label is seen.
-  auto it = op_end_memo_.find(std::string_view(label));
-  if (it == op_end_memo_.end()) {
-    const std::string base(label);
-    OpEndEntry e;
-    e.rec = &ops_[base];
-    e.ms = &Histo(base + ".ms");
-    e.seeks = &Histo(base + ".seeks");
-    e.pages = &Histo(base + ".pages");
-    it = op_end_memo_.emplace(base, e).first;
-  }
-  OpEndEntry& e = it->second;
-  e.rec->count++;
-  e.ms->Add(
+  OpRecord* rec = AttributionRecord(label);
+  rec->count++;
+  rec->ms.Add(
       static_cast<uint64_t>(std::llround(op_delta.ms < 0 ? 0 : op_delta.ms)));
-  e.seeks->Add(op_delta.Seeks());
-  e.pages->Add(op_delta.PagesTransferred());
 }
 
 IoStats ObsRegistry::AttributedTotal() const {
@@ -108,74 +101,11 @@ bool ObsRegistry::ConservationHolds(const IoStats& global) const {
 
 void ObsRegistry::MergeFrom(const ObsRegistry& other) {
   for (const auto& [label, rec] : other.ops_) {
-    OpRecord& mine = ops_[label];
-    mine.count += rec.count;
-    mine.io += rec.io;
+    OpRecord* mine = AttributionRecord(label);
+    mine->count += rec.count;
+    mine->io += rec.io;
+    mine->ms.MergeFrom(rec.ms);
   }
-  for (const auto& [name, value] : other.counters_) counters_[name] += value;
-  for (const auto& [name, h] : other.histograms_) {
-    histograms_[name].MergeFrom(h);
-  }
-}
-
-void ObsRegistry::Reset() {
-  ops_.clear();
-  counters_.clear();
-  histograms_.clear();
-  op_end_memo_.clear();
-  ++attr_gen_;
-}
-
-std::string ObsRegistry::ToJson() const {
-  std::string out = "{\n  \"ops\": {";
-  bool first = true;
-  for (const auto& [label, rec] : ops_) {
-    AppendF(&out,
-            "%s\n    \"%s\": {\"count\": %llu, \"read_calls\": %llu, "
-            "\"write_calls\": %llu, \"pages_read\": %llu, "
-            "\"pages_written\": %llu, \"ms\": %.3f}",
-            first ? "" : ",", JsonEscape(label).c_str(),
-            static_cast<unsigned long long>(rec.count),
-            static_cast<unsigned long long>(rec.io.read_calls),
-            static_cast<unsigned long long>(rec.io.write_calls),
-            static_cast<unsigned long long>(rec.io.pages_read),
-            static_cast<unsigned long long>(rec.io.pages_written),
-            rec.io.ms);
-    first = false;
-  }
-  out += "\n  },\n  \"counters\": {";
-  first = true;
-  for (const auto& [name, value] : counters_) {
-    AppendF(&out, "%s\n    \"%s\": %llu", first ? "" : ",",
-            JsonEscape(name).c_str(), static_cast<unsigned long long>(value));
-    first = false;
-  }
-  out += "\n  },\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    AppendF(&out,
-            "%s\n    \"%s\": {\"count\": %llu, \"sum\": %llu, "
-            "\"min\": %llu, \"max\": %llu, \"p50\": %.3f, \"p90\": %.3f, "
-            "\"p99\": %.3f, \"buckets\": [",
-            first ? "" : ",", JsonEscape(name).c_str(),
-            static_cast<unsigned long long>(h.count()),
-            static_cast<unsigned long long>(h.sum()),
-            static_cast<unsigned long long>(h.min()),
-            static_cast<unsigned long long>(h.max()), h.Quantile(0.5),
-            h.Quantile(0.9), h.Quantile(0.99));
-    bool first_bucket = true;
-    for (int i = 0; i < Histogram::kBuckets; ++i) {
-      if (h.bucket(i) == 0) continue;
-      AppendF(&out, "%s[%llu, %llu]", first_bucket ? "" : ", ",
-              static_cast<unsigned long long>(Histogram::BucketLowerBound(i)),
-              static_cast<unsigned long long>(h.bucket(i)));
-      first_bucket = false;
-    }
-    out += "]}";
-    first = false;
-  }
-  out += "\n  }\n}\n";
-  return out;
 }
 
 std::string ObsRegistry::ToCsv() const {

@@ -1,4 +1,4 @@
-// ObsRegistry: per-operation I/O attribution and general-purpose metrics.
+// ObsRegistry: the per-operation I/O ledger.
 //
 // The paper's methodology is per-operation modeled I/O cost (one 33 ms seek
 // per I/O call plus 4 ms per 4K page, 4.1). The registry turns that from a
@@ -13,10 +13,10 @@
 // holds at every point outside an UnmeteredSection (tests/obs_test.cc
 // enforces it across a mixed workload for all three engines).
 //
-// Besides attribution the registry keeps named monotonic counters and
-// log2-bucketed histograms (per-op modeled ms, seeks and pages transferred
-// are recorded by OpScope), and exports everything as JSON or CSV for the
-// bench harness and `lobtool stats`.
+// Each label owns one OpRecord: its finished-op count, the I/O charged to
+// it, and a log2 histogram of each finished op's modeled ms. Nothing is
+// recorded inside an UnmeteredSection. MetricsSnapshot is the JSON view of
+// the records (with percentiles); ToCsv serves `lobtool stats csv`.
 
 #ifndef LOB_OBS_OBS_REGISTRY_H_
 #define LOB_OBS_OBS_REGISTRY_H_
@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "iomodel/io_stats.h"
 
@@ -32,9 +33,9 @@ namespace lob {
 /// Power-of-two bucketed histogram of non-negative integer samples.
 /// Bucket 0 holds value 0; bucket i >= 1 holds values in [2^(i-1), 2^i).
 ///
-/// Samples are integer modeled units (ms, seeks, pages), so the running
-/// sum accumulates in uint64_t — exact for any count, where a double
-/// would silently round once the sum crosses 2^53.
+/// Samples are integer modeled ms, so the running sum accumulates in
+/// uint64_t — exact for any count, where a double would silently round
+/// once the sum crosses 2^53.
 class Histogram {
  public:
   static constexpr int kBuckets = 34;  // 0 plus exponents up to 2^32 and over
@@ -55,7 +56,9 @@ class Histogram {
   /// Interpolated quantile, q in [0, 1] (clamped). Uses the continuous
   /// rank q*(count-1); interpolates linearly inside the containing log2
   /// bucket and clamps the result to [min, max], so q=0, q=1 and
-  /// single-sample histograms are exact. Returns 0 on an empty histogram.
+  /// single-sample histograms are exact. Buckets 0 and 1 each hold one
+  /// value, so a rank that lands in either returns that value. Returns 0
+  /// on an empty histogram.
   /// Deterministic: pure integer/IEEE arithmetic over the bucket table.
   double Quantile(double q) const;
 
@@ -76,7 +79,7 @@ class Histogram {
   uint64_t max_ = 0;
 };
 
-/// Named counters, histograms and the per-operation I/O ledger.
+/// The per-operation I/O ledger: one OpRecord per operation label.
 ///
 /// A registry holds no lock. It belongs to the thread that owns its
 /// StorageSystem (or bench job), like the rest of that system, so the
@@ -88,33 +91,28 @@ class ObsRegistry {
   /// Label charged for I/O issued outside any OpScope.
   static constexpr const char* kUnattributed = "(unattributed)";
 
-  /// Attribution ledger entry for one operation label.
+  /// Everything recorded for one operation label.
   struct OpRecord {
     uint64_t count = 0;  ///< finished operations (OpScope destructions)
     IoStats io;          ///< I/O charged to the label by SimDisk
+    Histogram ms;        ///< modeled ms of each finished op, nested included
   };
-
-  /// Named monotonic counter (created on first use).
-  uint64_t& Counter(const std::string& name) { return counters_[name]; }
-
-  /// Named histogram (created on first use).
-  Histogram& Histo(const std::string& name) { return histograms_[name]; }
 
   /// Ledger record for `label` (created on first use). SimDisk caches the
   /// returned pointer for the duration of an operation and adds each
   /// metered call to its `io`, so attribution is one map lookup per op
   /// instead of one per call; the pointer is map-node-stable until the
   /// ledger is reset, which bumps the generation below.
-  OpRecord* AttributionRecord(const char* label) { return &ops_[label]; }
+  OpRecord* AttributionRecord(std::string_view label);
 
   /// Incremented whenever the ledger is cleared; invalidates cached
   /// AttributionRecord pointers.
   uint64_t attribution_generation() const { return attr_gen_; }
 
-  /// Records the end of one operation: bumps the label's count and feeds
-  /// the per-op histograms (<label>.ms / .seeks / .pages). `op_delta` is
-  /// the global-IoStats delta across the operation (nested scopes
-  /// included). Called by OpScope.
+  /// Records the end of one operation: bumps the label's count and adds
+  /// the op's modeled ms to its histogram. `op_delta` is the global-IoStats
+  /// delta across the operation (nested scopes included). Called by
+  /// OpScope.
   ///
   /// The trailing `bool` is unused. It stays only to keep the mangled
   /// symbol `_ZN3lob11ObsRegistry11RecordOpEndEPKcRKNS_7IoStatsEb`, which
@@ -122,12 +120,8 @@ class ObsRegistry {
   /// dropping it would rename the symbol and break that build.
   void RecordOpEnd(const char* label, const IoStats& op_delta, bool = false);
 
-  const std::map<std::string, OpRecord>& ops() const { return ops_; }
-  const std::map<std::string, uint64_t>& counters() const {
-    return counters_;
-  }
-  const std::map<std::string, Histogram>& histograms() const {
-    return histograms_;
+  const std::map<std::string, OpRecord, std::less<>>& ops() const {
+    return ops_;
   }
 
   /// Sum of attributed I/O over every label (the conservation invariant
@@ -138,46 +132,24 @@ class ObsRegistry {
   /// within rounding (modeled ms).
   bool ConservationHolds(const IoStats& global) const;
 
-  /// Drops the attribution ledger only (SimDisk::ResetStats calls this so
-  /// the conservation invariant survives stats resets). Counters and
-  /// histograms are kept: they are observability, not conservation state.
+  /// Drops every record (SimDisk::ResetStats calls this so the
+  /// conservation invariant survives stats resets).
   void ResetAttribution() {
     ops_.clear();
-    op_end_memo_.clear();
     ++attr_gen_;
   }
 
-  /// Adds another registry's ledger, counters and histograms into this
-  /// one (counts and I/O accumulate; histograms MergeFrom). Used to
-  /// aggregate per-cell registries into one suite-level view once the
-  /// cells have finished.
+  /// Adds another registry's records into this one (counts and I/O
+  /// accumulate; histograms MergeFrom). Used to aggregate per-cell
+  /// registries into one suite-level view once the cells have finished.
   void MergeFrom(const ObsRegistry& other);
 
-  /// Drops everything.
-  void Reset();
-
-  /// Exports ops, counters and histograms as a JSON object.
-  std::string ToJson() const;
-
   /// Exports the per-op ledger as CSV
-  /// (label,count,read_calls,write_calls,pages_read,pages_written,seeks,pages,ms).
+  /// (op,count,read_calls,write_calls,pages_read,pages_written,seeks,pages,ms).
   std::string ToCsv() const;
 
  private:
-  /// Resolved destinations of one label's RecordOpEnd: the ledger record
-  /// plus the three per-op histograms. All pointers are map-node-stable;
-  /// the memo is cleared whenever ops_ is (Reset/ResetAttribution).
-  struct OpEndEntry {
-    OpRecord* rec = nullptr;
-    Histogram* ms = nullptr;
-    Histogram* seeks = nullptr;
-    Histogram* pages = nullptr;
-  };
-
-  std::map<std::string, OpRecord> ops_;
-  std::map<std::string, uint64_t> counters_;
-  std::map<std::string, Histogram> histograms_;
-  std::map<std::string, OpEndEntry, std::less<>> op_end_memo_;
+  std::map<std::string, OpRecord, std::less<>> ops_;
   uint64_t attr_gen_ = 0;
 };
 

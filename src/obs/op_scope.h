@@ -5,8 +5,9 @@
 // metered SimDisk ReadRun/WriteRun call — including buffer pool misses,
 // evictions and the deferred end-of-operation flushes issued through
 // OpContext::Finish — is charged to that label in the disk's ObsRegistry.
-// On destruction the scope records the operation's total modeled ms, seeks
-// and pages transferred into the registry's log2 histograms.
+// On destruction the scope counts the operation and adds its total modeled
+// ms to the label's histogram. Inside an UnmeteredSection it records
+// nothing, like the ledger and the spans.
 //
 // Scopes nest with explicit child labels: when an operation delegates to
 // another entry point (e.g. Insert calling Append at the end of the
@@ -16,11 +17,11 @@
 // masquerading as a top-level operation. Every I/O call is still charged
 // to exactly one — the innermost — label, so the conservation invariant
 // (sum of attributed stats == global stats) holds regardless of nesting,
-// and the outer scope's histograms still cover the full operation.
+// and the outer scope's histogram still covers the full operation.
 //
 // When a TraceSession is attached to the disk, the scope also brackets the
 // operation with a kOp span carrying the same effective label the ledger
-// charges. The span opens on the same start snapshot the histograms use,
+// charges. The span opens on the same start snapshot the histogram uses,
 // so an op span's I/O minus its nested op spans' I/O is exactly the
 // ledger's exclusive cost for that label.
 
@@ -74,9 +75,9 @@ class OpScope {
   ~OpScope() {
     disk_->set_current_op(prev_);
     if (session_ != nullptr) session_->EndSpan(span_, disk_->stats());
-    ObsRegistry* obs = disk_->obs();
-    if (obs == nullptr) return;
-    obs->RecordOpEnd(label_, IoStats::Delta(start_, disk_->stats()));
+    if (ObsRegistry* obs = disk_->active_obs()) {
+      obs->RecordOpEnd(label_, IoStats::Delta(start_, disk_->stats()));
+    }
   }
 
   OpScope(const OpScope&) = delete;

@@ -563,6 +563,95 @@ TEST(DiskImageTest, RejectsGarbage) {
             StatusCode::kNotFound);
 }
 
+// Bytes of a saved image with two areas holding one page each: the
+// 16-byte header, then per area a page count and one {page id, page}
+// record.
+std::string TwoPageImage(const StorageConfig& cfg) {
+  const std::string path = TempPath("two_page");
+  SimDisk disk(cfg);
+  const AreaId a = disk.CreateArea();
+  const AreaId b = disk.CreateArea();
+  std::string page(cfg.page_size, 'A');
+  EXPECT_TRUE(WritePages(&disk, a, 0, 1, page.data()).ok());
+  page.assign(cfg.page_size, 'B');
+  EXPECT_TRUE(WritePages(&disk, b, 0, 1, page.data()).ok());
+  EXPECT_TRUE(SaveDiskImage(disk, path).ok());
+  std::string image;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  if (f != nullptr) {
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) image.append(buf, n);
+    std::fclose(f);
+  }
+  std::remove(path.c_str());
+  return image;
+}
+
+// Loads the first `n` bytes of `image` into `disk`.
+Status LoadPrefix(const std::string& image, size_t n, SimDisk* disk) {
+  const std::string path = TempPath("prefix");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return Status::Internal("cannot write test image");
+  const bool written = std::fwrite(image.data(), 1, n, f) == n;
+  std::fclose(f);
+  if (!written) return Status::Internal("short test image write");
+  const Status s = LoadDiskImage(disk, path);
+  std::remove(path.c_str());
+  return s;
+}
+
+TEST(DiskImageTest, EveryProperPrefixIsCorruption) {
+  StorageConfig cfg;
+  const std::string image = TwoPageImage(cfg);
+  ASSERT_EQ(image.size(), 16 + 2 * (4 + 4 + cfg.page_size));
+  // Cuts land in the header, an area's page count and a page record of
+  // each area; every one is a truncation, never a partial load reported
+  // as success.
+  for (size_t n = 0; n < image.size(); ++n) {
+    SimDisk disk(cfg);
+    const Status s = LoadPrefix(image, n, &disk);
+    ASSERT_EQ(s.code(), StatusCode::kCorruption)
+        << "prefix of " << n << " bytes: " << s.ToString();
+  }
+  SimDisk disk(cfg);
+  ASSERT_TRUE(LoadPrefix(image, image.size(), &disk).ok());
+  ASSERT_NE(disk.PeekPage(0, 0), nullptr);
+  EXPECT_EQ(disk.PeekPage(0, 0)[0], 'A');
+  ASSERT_NE(disk.PeekPage(1, 0), nullptr);
+  EXPECT_EQ(disk.PeekPage(1, 0)[0], 'B');
+}
+
+TEST(DiskImageTest, RejectsWrongVersionPageSizeAndAreaCount) {
+  StorageConfig cfg;
+  const std::string image = TwoPageImage(cfg);
+  auto with_u32_at = [&](size_t offset, uint32_t v) {
+    std::string out = image;
+    std::memcpy(&out[offset], &v, sizeof(v));
+    return out;
+  };
+  {
+    SimDisk disk(cfg);
+    const std::string bad = with_u32_at(4, 2);  // version
+    EXPECT_EQ(LoadPrefix(bad, bad.size(), &disk).code(),
+              StatusCode::kCorruption);
+  }
+  {
+    SimDisk disk(cfg);
+    const std::string bad = with_u32_at(8, 2 * cfg.page_size);  // page size
+    EXPECT_EQ(LoadPrefix(bad, bad.size(), &disk).code(),
+              StatusCode::kInvalidArgument);
+  }
+  {
+    // A disk that already has areas must have exactly the image's count.
+    SimDisk disk(cfg);
+    for (int i = 0; i < 3; ++i) disk.CreateArea();
+    EXPECT_EQ(LoadPrefix(image, image.size(), &disk).code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 // ---------------------------------------------------------------- Database
 
 TEST(DatabaseTest, CreateNamedObjectsAllEngines) {

@@ -1,8 +1,7 @@
 // Fault model semantics (iomodel/fault_model.h, SimDisk::ArmFault):
-// one-shot / sticky / transient lifetimes, direction, op-label and
-// page-range filters, deterministic FaultPlan schedules, and the
-// countdown contract (attributed foreground calls only, off-by-one-free,
-// fired faults advance no counters).
+// one-shot / sticky lifetimes, direction, op-label and page-range
+// filters, and the countdown contract (attributed foreground calls only,
+// off-by-one-free, fired faults advance no counters).
 
 #include <gtest/gtest.h>
 
@@ -103,22 +102,6 @@ TEST_F(FaultModelTest, StickyFailsUntilCleared) {
   EXPECT_TRUE(WritePage(1).ok());
 }
 
-TEST_F(FaultModelTest, TransientAutoClearsAfterFailCalls) {
-  FaultSpec fault;
-  fault.kind = FaultKind::kTransient;
-  fault.after_calls = 2;
-  fault.fail_calls = 3;
-  disk_.ArmFault(fault);
-
-  ASSERT_TRUE(WritePage(0).ok());
-  ASSERT_TRUE(WritePage(1).ok());
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(WritePage(2).ok()) << "transient failure " << i;
-  }
-  EXPECT_EQ(disk_.armed_faults(), 0u) << "transient fault auto-clears";
-  EXPECT_TRUE(WritePage(2).ok());
-}
-
 TEST_F(FaultModelTest, DirectionFilterCountsOnlyMatchingCalls) {
   // A write-only fault: reads neither fire it nor advance its countdown.
   FaultSpec fault;
@@ -198,32 +181,6 @@ TEST_F(FaultModelTest, ForegroundCallsCountsSuccessesOnly) {
   EXPECT_EQ(disk_.foreground_calls(), 2u) << "failed calls do not count";
   EXPECT_TRUE(WritePage(1).ok());
   EXPECT_EQ(disk_.foreground_calls(), 3u);
-}
-
-TEST(FaultPlanTest, RandomOneShotsIsDeterministic) {
-  const FaultPlan a = FaultPlan::RandomOneShots(42, 16, 1000);
-  const FaultPlan b = FaultPlan::RandomOneShots(42, 16, 1000);
-  ASSERT_EQ(a.faults.size(), 16u);
-  for (size_t i = 0; i < a.faults.size(); ++i) {
-    EXPECT_EQ(a.faults[i].after_calls, b.faults[i].after_calls) << i;
-    EXPECT_EQ(a.faults[i].kind, FaultKind::kOneShot);
-    EXPECT_LE(a.faults[i].after_calls, 1000u);
-  }
-  const FaultPlan c = FaultPlan::RandomOneShots(43, 16, 1000);
-  bool any_differs = false;
-  for (size_t i = 0; i < c.faults.size(); ++i) {
-    any_differs |= c.faults[i].after_calls != a.faults[i].after_calls;
-  }
-  EXPECT_TRUE(any_differs) << "different seeds should give different plans";
-}
-
-TEST(FaultPlanTest, ArmPlanArmsEveryFault) {
-  StorageConfig cfg;
-  SimDisk disk(cfg);
-  disk.ArmPlan(FaultPlan::RandomOneShots(7, 5, 100));
-  EXPECT_EQ(disk.armed_faults(), 5u);
-  disk.ClearFaults();
-  EXPECT_EQ(disk.armed_faults(), 0u);
 }
 
 TEST(FaultModelSystemTest, UnmeteredSectionIsExemptEndToEnd) {

@@ -45,16 +45,16 @@ printf 'BIG ' > "$DIR/ins.txt"
 "$LOBTOOL" "$DB" stats doc json | grep -q '"eos.read"' || fail "stats json"
 "$LOBTOOL" "$DB" stats doc csv | grep -q '^eos.read,' || fail "stats csv"
 
-# stats json is the combined registry + schema-v2 snapshot: quantile
-# columns per op label, pool hit/miss counters, buddy area stats.
+# stats json is the schema-v2 snapshot alone: quantile columns per op
+# label, pool hit/miss counters, buddy area stats.
 "$LOBTOOL" "$DB" stats doc json > "$DIR/stats.json" || fail "stats json run"
-grep -q '"registry"' "$DIR/stats.json" || fail "stats json registry block"
-grep -q '"snapshot"' "$DIR/stats.json" || fail "stats json snapshot block"
+[ "$(head -1 "$DIR/stats.json")" = "{" ] || fail "stats json is one object"
+! grep -q '"registry"' "$DIR/stats.json" || fail "stats json registry block"
 grep -q '"p99_ms"' "$DIR/stats.json" || fail "stats json p99_ms"
 grep -q '"pool"' "$DIR/stats.json" || fail "stats json pool block"
 grep -q '"schema_version": 2' "$DIR/stats.json" || fail "stats json schema v2"
 # --json alias and the percentile columns in the table view.
-"$LOBTOOL" "$DB" stats doc --json | grep -q '"p50"' || fail "stats --json alias"
+"$LOBTOOL" "$DB" stats doc --json | grep -q '"p50_ms"' || fail "stats --json alias"
 "$LOBTOOL" "$DB" stats doc | grep -q 'p99' || fail "stats table p99 column"
 
 # profile: one replay, three views. Each is deterministic; the tree

@@ -31,16 +31,14 @@ TEST(MetricsSnapshotTest, CollectCapturesOpsPoolAndAreas) {
   ASSERT_EQ(snap.ops.count("eos.read"), 1u);
   const auto& read = snap.ops.at("eos.read");
   EXPECT_EQ(read.count, 1u);
-  EXPECT_TRUE(read.has_histogram);
   EXPECT_GT(read.mean_ms, 0.0);
   EXPECT_GT(read.p50_ms, 0.0);
   EXPECT_LE(read.p50_ms, read.p99_ms);
   EXPECT_LE(read.p99_ms, static_cast<double>(read.max_ms));
-  // Pool counters were published into the registry and summarized.
+  // Pool counters are summarized.
   EXPECT_GT(snap.pool.hits + snap.pool.misses, 0u);
-  EXPECT_GE(snap.pool.hit_rate, 0.0);
-  EXPECT_LE(snap.pool.hit_rate, 1.0);
-  EXPECT_EQ(snap.counters.count("pool.fix_hits"), 1u);
+  EXPECT_GE(snap.pool.HitRate(), 0.0);
+  EXPECT_LE(snap.pool.HitRate(), 1.0);
   // Both areas are present with allocator state.
   ASSERT_EQ(snap.areas.count("leaf"), 1u);
   ASSERT_EQ(snap.areas.count("meta"), 1u);
@@ -78,7 +76,7 @@ TEST(MetricsSnapshotTest, JsonParsesAndHasSortedSchemaV2Shape) {
   ASSERT_NE(v->Find("faults"), nullptr);
 }
 
-TEST(MetricsSnapshotTest, FromRegistryIsOpsAndCountersOnly) {
+TEST(MetricsSnapshotTest, FromRegistryIsOpsAndPoolOnly) {
   ObsRegistry obs;
   IoStats call;
   call.read_calls = 1;
@@ -86,20 +84,30 @@ TEST(MetricsSnapshotTest, FromRegistryIsOpsAndCountersOnly) {
   call.ms = 49.0;
   obs.AttributionRecord("eos.read")->io += call;
   obs.RecordOpEnd("eos.read", call);
-  obs.Counter("pool.fix_hits") = 3;
 
-  const MetricsSnapshot snap = MetricsSnapshot::FromRegistry(obs);
+  MetricsSnapshot snap = MetricsSnapshot::FromRegistry(obs);
   EXPECT_FALSE(snap.has_substrate);
   ASSERT_EQ(snap.ops.count("eos.read"), 1u);
   EXPECT_DOUBLE_EQ(snap.ops.at("eos.read").mean_ms, 49.0);
-  EXPECT_EQ(snap.counters.at("pool.fix_hits"), 3u);
+  EXPECT_DOUBLE_EQ(snap.ops.at("eos.read").p99_ms, 49.0);
+  EXPECT_EQ(snap.ops.at("eos.read").max_ms, 49u);
+  // An aggregate sums its cells' pool counters into `pool`.
+  snap.pool.hits = 3;
+  snap.pool.misses = 1;
+  snap.pool.evictions = 2;
   // Registry-only snapshots omit the substrate sections entirely.
   const std::string json = snap.ToJson();
-  EXPECT_EQ(json.find("\"pool\""), std::string::npos) << json;
   EXPECT_EQ(json.find("\"areas\""), std::string::npos) << json;
   EXPECT_EQ(json.find("\"faults\""), std::string::npos) << json;
   auto v = JsonValue::Parse(json);
   ASSERT_TRUE(v.ok()) << v.status().ToString();
+  const JsonValue* pool = v->Find("pool");
+  ASSERT_NE(pool, nullptr) << json;
+  EXPECT_DOUBLE_EQ(pool->NumberOr("hits", 0), 3.0);
+  EXPECT_DOUBLE_EQ(pool->NumberOr("misses", 0), 1.0);
+  EXPECT_DOUBLE_EQ(pool->NumberOr("evictions", 0), 2.0);
+  EXPECT_DOUBLE_EQ(pool->NumberOr("hit_rate", 0), 0.75);
+  EXPECT_EQ(v->Find("counters"), nullptr) << json;
 }
 
 TEST(MetricsSnapshotTest, SnapshotIsDeterministicAcrossIdenticalRuns) {

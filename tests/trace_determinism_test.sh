@@ -34,10 +34,17 @@ for j in 0 4; do
 done
 
 # 2. Exporting a trace must not perturb the measured results: stdout with
-#    the exporters attached equals stdout without them.
+#    the exporters attached equals stdout without them. That includes the
+#    --obs ledger: the timeline sampler's ops run unmetered and are not
+#    counted.
 "$FIG9" --quick --csv --jobs=4 > "$tmpdir/stdout_plain.csv"
 cmp "$tmpdir/stdout_plain.csv" "$tmpdir/stdout_j4.csv" \
   || fail "--trace/--timeline changed the bench results"
+"$FIG9" --quick --obs --jobs=4 > "$tmpdir/obs_plain.txt"
+"$FIG9" --quick --obs --jobs=4 --trace="$tmpdir/trace_obs.json" \
+  --timeline="$tmpdir/timeline_obs.csv" > "$tmpdir/obs_exported.txt"
+cmp "$tmpdir/obs_plain.txt" "$tmpdir/obs_exported.txt" \
+  || fail "--trace/--timeline changed the --obs ledger"
 
 # 3. The timeline CSV has the shared header and one config column per
 #    (mean_op x engine) cell.

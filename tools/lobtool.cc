@@ -21,10 +21,11 @@
 //       name, the object is first scanned sequentially through its engine
 //       so the ledger shows attributed read costs; image-load I/O shows up
 //       under "(unattributed)". json/csv select the export format
-//       (--json is accepted as an alias for json). The table and json
-//       formats include the schema-v2 metrics snapshot: per-op
-//       p50/p90/p99/max modeled ms, pool hit/miss/eviction rates, buddy
-//       free-extent stats and fault counters.
+//       (--json is accepted as an alias for json). The table adds
+//       p50/p90/p99 modeled ms to the ledger; json prints the schema-v2
+//       metrics snapshot: per-op p50/p90/p99/max modeled ms, pool
+//       hit/miss/eviction rates, buddy free-extent stats and fault
+//       counters.
 //   lobtool profile <op-script> [esm|starburst|eos] [param]
 //       [--format=tree|folded|json] [--out=FILE]
 //       replays the op script (workload/trace.h text format: one
@@ -446,21 +447,9 @@ int Run(int argc, char** argv) {
         }
       }
     }
-    // Surface the pool counters before any export so every format (and
-    // the snapshot below) sees pool.fix_hits / pool.fix_misses /
-    // pool.evictions.
-    sys->pool()->PublishCounters(sys->obs());
     const ObsRegistry* obs = sys->obs();
     if (fmt == "json") {
-      // Two views of the same registry: "registry" is the raw ledger +
-      // histogram export (stable since schema v1), "snapshot" the v2
-      // per-cell MetricsSnapshot with op percentiles, pool rates, buddy
-      // free-extent stats and fault counters.
-      std::printf("{\n\"registry\": ");
-      std::fputs(obs->ToJson().c_str(), stdout);
-      std::printf(",\n\"snapshot\": ");
-      std::fputs(MetricsSnapshot::Collect(sys).ToJson("").c_str(), stdout);
-      std::printf("\n}\n");
+      std::printf("%s\n", MetricsSnapshot::Collect(sys).ToJson().c_str());
       return 0;
     }
     if (fmt == "csv") {
@@ -476,11 +465,9 @@ int Run(int argc, char** argv) {
                   static_cast<unsigned long long>(rec.io.write_calls),
                   static_cast<unsigned long long>(rec.io.PagesTransferred()),
                   rec.io.ms);
-      const auto& hists = obs->histograms();
-      auto h = hists.find(label + ".ms");
-      if (h != hists.end() && h->second.count() > 0) {
-        std::printf(" %9.1f %9.1f %9.1f\n", h->second.Quantile(0.5),
-                    h->second.Quantile(0.9), h->second.Quantile(0.99));
+      if (rec.count > 0) {
+        std::printf(" %9.1f %9.1f %9.1f\n", rec.ms.Quantile(0.5),
+                    rec.ms.Quantile(0.9), rec.ms.Quantile(0.99));
       } else {
         std::printf(" %9s %9s %9s\n", "-", "-", "-");
       }

@@ -7,10 +7,11 @@
 //   --ops=N            operations for update-mix experiments (default 20000)
 //   --window=N         mark window for update-mix experiments
 //                      (default ops/10; validated 1 <= N <= ops)
-//   --jobs=N           worker threads for the configuration fan-out
-//                      (default hardware_concurrency; 1 reproduces the
-//                      serial execution order exactly, 0 runs inline on
-//                      the main thread; output bytes are identical for
+//   --jobs=N           worker threads for the configuration fan-out,
+//                      the main thread included (default
+//                      hardware_concurrency; 0 and 1 both run every cell
+//                      on the main thread in grid order; never more
+//                      threads than cells; output bytes are identical for
 //                      every value)
 //   --bench-json=PATH  write the wall-clock/modeled-ms profile of this
 //                      run as JSON (see scripts/bench_wall.sh)
@@ -44,7 +45,6 @@
 #include "core/storage_system.h"
 #include "exec/bench_profile.h"
 #include "exec/parallel_runner.h"
-#include "exec/thread_pool.h"
 #include "trace/timeline.h"
 #include "trace/trace_session.h"
 #include "workload/workload.h"
@@ -150,42 +150,40 @@ struct BenchArgs {
   static BenchArgs Parse(int argc, char** argv) {
     BenchArgs args;
     args.quick = FlagPresent(argc, argv, "quick");
-    const uint64_t mb = FlagValue(argc, argv, "object-mb",
-                                  args.quick ? 2 : 10);
+    const uint64_t mb =
+        FlagValue<uint64_t>(argc, argv, "object-mb", args.quick ? 2 : 10);
     args.object_bytes = mb * 1024 * 1024;
-    args.ops = static_cast<uint32_t>(
-        FlagValue(argc, argv, "ops", args.quick ? 2000 : 20000));
-    const uint64_t window = FlagValue(argc, argv, "window",
+    args.ops =
+        FlagValue<uint32_t>(argc, argv, "ops", args.quick ? 2000 : 20000);
+    args.window = FlagValue<uint32_t>(argc, argv, "window",
                                       std::max(1u, args.ops / 10));
-    if (window < 1 || window > args.ops) {
+    if (args.window < 1 || args.window > args.ops) {
       std::fprintf(stderr,
-                   "invalid --window=%llu: must satisfy 1 <= window <= "
+                   "invalid --window=%u: must satisfy 1 <= window <= "
                    "ops (%u)\n",
-                   static_cast<unsigned long long>(window), args.ops);
+                   args.window, args.ops);
       std::exit(2);
     }
-    args.window = static_cast<uint32_t>(window);
-    args.jobs = static_cast<uint32_t>(
-        FlagValue(argc, argv, "jobs", ThreadPool::DefaultWorkers()));
+    args.jobs = FlagValue<uint32_t>(argc, argv, "jobs",
+                                    ParallelRunner::DefaultWorkers());
     args.obs = FlagPresent(argc, argv, "obs");
     args.bench_json = FlagValueString(argc, argv, "bench-json", "");
     args.trace = FlagValueString(argc, argv, "trace", "");
     args.timeline = FlagValueString(argc, argv, "timeline", "");
-    args.timeline_every = static_cast<uint32_t>(
-        FlagValue(argc, argv, "timeline-every", args.window));
+    args.timeline_every =
+        FlagValue<uint32_t>(argc, argv, "timeline-every", args.window);
     return args;
   }
 };
 
-/// The per-bench harness: a thread pool sized by --jobs, the deterministic
-/// fan-out runner, and the wall-clock profile exported by --bench-json.
+/// The per-bench harness: the deterministic fan-out runner sized by --jobs
+/// and the wall-clock profile exported by --bench-json.
 /// One BenchEngine per binary; Map() may be called several times (each
 /// grid contributes its cells to the same profile).
 class BenchEngine {
  public:
   BenchEngine(std::string name, const BenchArgs& args)
-      : pool_(args.jobs),
-        runner_(&pool_),
+      : runner_(args.jobs),
         profile_(std::move(name), args.jobs == 0 ? 1u : args.jobs,
                  std::thread::hardware_concurrency(),
                  BenchProfile::MakeHostNote()),
@@ -194,10 +192,8 @@ class BenchEngine {
         // simulator's own wall-clock cost; it never reaches modeled output.
         start_(std::chrono::steady_clock::now()) {}
 
-  ThreadPool* pool() { return &pool_; }
-
-  /// Fans one job per cell label out across the pool; returns values,
-  /// captured per-job text and timings in submission order and feeds the
+  /// Fans one job per cell label out across the runner; returns values,
+  /// captured per-job text and timings in cell order and feeds the
   /// wall/modeled milliseconds of every cell into the profile.
   template <typename T>
   Mapped<T> Map(const std::vector<std::string>& cell_labels,
@@ -233,7 +229,6 @@ class BenchEngine {
   }
 
  private:
-  ThreadPool pool_;
   ParallelRunner runner_;
   BenchProfile profile_;
   std::string json_path_;

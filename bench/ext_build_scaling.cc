@@ -14,7 +14,8 @@ int main(int argc, char** argv) {
   const BenchArgs args = BenchArgs::Parse(argc, argv);
   PrintBanner("ext_build_scaling: build cost per MB vs object size",
               "4.2 (build cost grows linearly with object size)");
-  const uint64_t append = FlagValue(argc, argv, "append-kb", 32) * 1024;
+  const uint64_t append =
+      FlagValue<uint64_t>(argc, argv, "append-kb", 32) * 1024;
   std::printf("append size: %llu KB\n\n",
               static_cast<unsigned long long>(append / 1024));
 

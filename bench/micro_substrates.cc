@@ -233,8 +233,7 @@ int RunCellThroughput(uint32_t n_cells, const std::string& json_path) {
 }  // namespace lob
 
 int main(int argc, char** argv) {
-  const uint32_t cells = static_cast<uint32_t>(
-      lob::FlagValue(argc, argv, "cells", 0));
+  const uint32_t cells = lob::FlagValue<uint32_t>(argc, argv, "cells", 0);
   const std::string json =
       lob::FlagValueString(argc, argv, "bench-json", "");
   if (cells > 0) {

@@ -5,8 +5,9 @@
 // holds none, so no two threads can wait on each other through these
 // mutexes: deadlock freedom holds by construction, with no order table.
 //
-// Only state that several threads really share is locked: the thread
-// pool's queue, the campaign progress counter and the warn-log sink. The
+// Only state that several threads really share is locked: the campaign
+// progress counter and the warn-log sink. The parallel runner shares
+// nothing but one atomic job counter (exec/parallel_runner.h). The
 // storage layer and the obs/trace/timeline recorders hold no lock at all —
 // a StorageSystem (with its ObsRegistry) belongs to the one thread that
 // owns it, and BufferPool aborts when a second thread reaches it (see
@@ -22,7 +23,6 @@
 #ifndef LOB_COMMON_LOCK_ORDER_H_
 #define LOB_COMMON_LOCK_ORDER_H_
 
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -73,7 +73,6 @@ class LOB_CAPABILITY("mutex") Mutex {
   }
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -87,33 +86,6 @@ class LOB_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-/// Condition variable for use with Mutex. No predicate overload on
-/// purpose: Clang's analysis cannot see through a predicate lambda, so
-/// callers write the canonical `while (!cond) cv.Wait(&mu);` loop, which
-/// the analysis understands.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Atomically releases `mu` and waits; re-acquires `mu` before
-  /// returning. Spurious wakeups happen — always wait in a loop. The
-  /// thread's held pointer stays set: the mutex is re-held on return, and
-  /// a blocked thread acquires nothing in between.
-  void Wait(Mutex* mu) LOB_REQUIRES(mu) {
-    std::unique_lock<std::mutex> l(mu->mu_, std::adopt_lock);
-    cv_.wait(l);
-    l.release();  // ownership stays with the caller's Mutex
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace lob

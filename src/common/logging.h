@@ -23,7 +23,7 @@ namespace lob::internal {
 /// concurrent warnings would be unreadable (and flagged by TSan on some
 /// libc builds). Implemented in logging.cc behind an annotated leaf
 /// lob::Mutex, so a warning must not be emitted while holding another
-/// lob::Mutex (none of the three locked sites warns under its lock).
+/// lob::Mutex (neither of the two locked sites warns under its lock).
 /// (This header deliberately does not include lock_order.h: lock_order.h
 /// uses LOB_CHECK-style aborts, so the sink mutex lives out of line.)
 #if defined(__GNUC__)

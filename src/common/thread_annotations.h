@@ -2,8 +2,8 @@
 // LOB_REQUIRES, ...). Under Clang with -Wthread-safety these expand to the
 // capability attributes so locking contracts are machine-checked at compile
 // time; under other compilers they expand to nothing. The annotated
-// primitives that carry the capabilities (Mutex, MutexLock, CondVar) live
-// in common/lock_order.h — annotate with these macros, lock with those
+// primitives that carry the capabilities (Mutex, MutexLock) live in
+// common/lock_order.h — annotate with these macros, lock with those
 // types. See CONTRIBUTING.md "Thread-safety & leaf locks".
 
 #ifndef LOB_COMMON_THREAD_ANNOTATIONS_H_

@@ -13,7 +13,6 @@
 #include "common/rng.h"
 #include "core/factory.h"
 #include "exec/parallel_runner.h"
-#include "exec/thread_pool.h"
 #include "iomodel/fault_model.h"
 #include "workload/workload.h"
 
@@ -240,17 +239,16 @@ StatusOr<CampaignResult> RunCampaign(const Trace& trace,
     }
   }
 
-  // Fan the cells out; Map returns values in submission order, which is
+  // Fan the cells out; Map returns values in index order, which is
   // already (engine, fail_after)-sorted, so output is deterministic for
   // any worker count.
-  ThreadPool pool(options.jobs == 0 ? 1 : options.jobs);
-  ParallelRunner runner(&pool);
+  ParallelRunner runner(options.jobs);
   // Opt-in progress meter: the one piece of state the cell workers share.
   // Guarded by a leaf Mutex: a worker takes it between cells, holding no
   // other lock (each cell owns a private, lock-free system).
   struct Progress {
-    Mutex mu;
-    size_t done LOB_GUARDED_BY(mu) = 0;
+    Mutex mu_;
+    size_t done_ LOB_GUARDED_BY(mu_) = 0;
   } progress;
   const size_t total = points.size();
   auto mapped = runner.Map<CampaignCell>(
@@ -258,9 +256,9 @@ StatusOr<CampaignResult> RunCampaign(const Trace& trace,
         CampaignCell cell =
             RunCell(points[i].first, points[i].second, trace, options);
         if (options.progress) {
-          MutexLock lock(&progress.mu);
-          ++progress.done;
-          std::fprintf(stderr, "campaign: %zu/%zu cells\n", progress.done,
+          MutexLock lock(&progress.mu_);
+          ++progress.done_;
+          std::fprintf(stderr, "campaign: %zu/%zu cells\n", progress.done_,
                        total);
         }
         return cell;

@@ -12,8 +12,8 @@
 //   leak        structures consistent but allocated extents are orphaned
 //   corrupt     an engine invariant or cross-reference check is broken
 //
-// Every cell owns a private StorageSystem, so cells fan out across the
-// ThreadPool (PR-2) with byte-identical results for any worker count. The
+// Every cell owns a private StorageSystem, so cells fan out through
+// ParallelRunner with byte-identical results for any worker count. The
 // resulting (engine, op, k) matrix is the repo's regression instrument:
 // the ctest gate holds every future change to "zero corrupt and zero leak
 // cells on the standard trace".
@@ -32,7 +32,8 @@
 namespace lob {
 
 struct CampaignOptions {
-  /// Worker threads for the cell fan-out.
+  /// Worker threads for the cell fan-out, the calling thread included
+  /// (0 and 1 both run every cell on the calling thread).
   uint32_t jobs = 1;
 
   /// Sample every `stride`-th fault point (1 = exhaustive). The matrix is

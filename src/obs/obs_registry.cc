@@ -10,7 +10,6 @@ namespace lob {
 void Histogram::Add(uint64_t value) {
   buckets_[BucketIndex(value)]++;
   count_++;
-  sum_ += value;
   if (value < min_) min_ = value;
   if (value > max_) max_ = value;
 }
@@ -45,7 +44,6 @@ double Histogram::Quantile(double q) const {
 void Histogram::MergeFrom(const Histogram& other) {
   for (int i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
   count_ += other.count_;
-  sum_ += other.sum_;
   if (other.count_ > 0) {
     if (other.min_ < min_) min_ = other.min_;
     if (other.max_ > max_) max_ = other.max_;

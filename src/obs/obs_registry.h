@@ -32,10 +32,6 @@ namespace lob {
 
 /// Power-of-two bucketed histogram of non-negative integer samples.
 /// Bucket 0 holds value 0; bucket i >= 1 holds values in [2^(i-1), 2^i).
-///
-/// Samples are integer modeled ms, so the running sum accumulates in
-/// uint64_t — exact for any count, where a double would silently round
-/// once the sum crosses 2^53.
 class Histogram {
  public:
   static constexpr int kBuckets = 34;  // 0 plus exponents up to 2^32 and over
@@ -43,15 +39,7 @@ class Histogram {
   void Add(uint64_t value);
 
   uint64_t count() const { return count_; }
-  uint64_t sum() const { return sum_; }
-  uint64_t min() const { return count_ == 0 ? 0 : min_; }
   uint64_t max() const { return max_; }
-  double Mean() const {
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(sum_) /
-                             static_cast<double>(count_);
-  }
-  uint64_t bucket(int i) const { return buckets_[i]; }
 
   /// Interpolated quantile, q in [0, 1] (clamped). Uses the continuous
   /// rank q*(count-1); interpolates linearly inside the containing log2
@@ -74,7 +62,6 @@ class Histogram {
  private:
   uint64_t buckets_[kBuckets] = {};
   uint64_t count_ = 0;
-  uint64_t sum_ = 0;
   uint64_t min_ = UINT64_MAX;
   uint64_t max_ = 0;
 };

@@ -252,18 +252,6 @@ StatusOr<std::vector<MixPoint>> RunUpdateMix(StorageSystem* sys,
   return points;
 }
 
-uint64_t FlagValue(int argc, char** argv, const std::string& name,
-                   uint64_t def) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return std::strtoull(arg.c_str() + prefix.size(), nullptr, 10);
-    }
-  }
-  return def;
-}
-
 bool FlagPresent(int argc, char** argv, const std::string& name) {
   const std::string flag = "--" + name;
   for (int i = 1; i < argc; ++i) {

@@ -13,11 +13,18 @@
 #ifndef LOB_WORKLOAD_WORKLOAD_H_
 #define LOB_WORKLOAD_WORKLOAD_H_
 
+#include <cctype>
+#include <charconv>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "core/large_object.h"
 #include "core/storage_system.h"
 
@@ -108,9 +115,43 @@ Status CollectTimelineSample(StorageSystem* sys, LargeObjectManager* mgr,
                              ObjectId id, uint32_t ops_done,
                              TimelineSampler* sampler);
 
-/// Tiny command line helper: returns the value of --name=value or `def`.
-uint64_t FlagValue(int argc, char** argv, const std::string& name,
-                   uint64_t def);
+/// The one parser for numeric arguments: the whole of `text` must be a
+/// plain decimal number (it starts with a digit; no sign, space or
+/// suffix) that fits in T.
+template <typename T>
+StatusOr<T> ParseNumber(const std::string& text, const char* what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+      ec != std::errc() || stop != end) {
+    return Status::InvalidArgument(std::string("bad ") + what + " '" + text +
+                                   "'");
+  }
+  return value;
+}
+
+/// Tiny command line helper: returns the value of --name=value parsed as
+/// T (see ParseNumber), or `def` when the flag is absent. A malformed or
+/// out-of-range value prints "bad --name 'value'" and exits with status 2.
+template <typename T>
+T FlagValue(int argc, char** argv, const std::string& name,
+            std::type_identity_t<T> def) {
+  const std::string flag = "--" + name;
+  const std::string prefix = flag + "=";
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind(prefix, 0) != 0) continue;
+    auto value = ParseNumber<T>(arg.substr(prefix.size()), flag.c_str());
+    if (!value.ok()) {
+      std::fprintf(stderr, "%s\n", value.status().message().c_str());
+      std::exit(2);
+    }
+    return *value;
+  }
+  return def;
+}
+
 bool FlagPresent(int argc, char** argv, const std::string& name);
 
 /// String-valued flag: returns the text after --name= or `def`.

@@ -85,13 +85,24 @@ for key in ("p50_ms", "p90_ms", "p99_ms", "max_ms", "mean_ms"):
     assert key in row, f"snapshot op row missing {key}: {sorted(row)}"
 EOF
 
-# 6. --window validation: out-of-range values must be rejected.
+# 6. Flag validation: an out-of-range --window and a malformed number
+# (a sign, a suffix, no digits) must be rejected with exit status 2. The
+# timeout turns a value that is silently accepted and runs on into a
+# failure instead of a hang.
 if "$FIG9" --quick --ops=100 --window=0 > /dev/null 2>&1; then
   fail "--window=0 was accepted"
 fi
 if "$FIG9" --quick --ops=100 --window=101 > /dev/null 2>&1; then
   fail "--window=101 (> ops) was accepted"
 fi
+for bad in --ops=-5 --jobs=2x --object-mb=abc; do
+  status=0
+  timeout 60 "$FIG9" --quick "$bad" > /dev/null 2> "$tmpdir/bad_flag.err" \
+    || status=$?
+  [ "$status" -eq 2 ] || fail "$bad exited $status, not 2"
+  grep -q "^bad ${bad%%=*} '${bad#*=}'\$" "$tmpdir/bad_flag.err" \
+    || fail "$bad: no \"bad ${bad%%=*} '${bad#*=}'\" on stderr"
+done
 "$FIG9" --quick --ops=100 --window=50 --csv --jobs=2 > /dev/null \
   || fail "valid --window=50 rejected"
 

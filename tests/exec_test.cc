@@ -1,6 +1,6 @@
-// Tests for the parallel experiment engine: ThreadPool (ordering,
-// exception propagation, degenerate worker counts) and ParallelRunner
-// (deterministic result/text ordering, timing capture).
+// Tests for the parallel experiment engine: ParallelRunner (deterministic
+// result/text ordering, the serial caller-thread path, exception
+// propagation after every job has finished, timing capture) and JobOutput.
 
 #include <atomic>
 #include <chrono>
@@ -10,117 +10,10 @@
 #include <vector>
 
 #include "exec/parallel_runner.h"
-#include "exec/thread_pool.h"
 #include "gtest/gtest.h"
 
 namespace lob {
 namespace {
-
-TEST(ThreadPoolTest, DefaultWorkersIsAtLeastOne) {
-  EXPECT_GE(ThreadPool::DefaultWorkers(), 1u);
-}
-
-TEST(ThreadPoolTest, ZeroWorkersRunsInlineOnSubmittingThread) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.workers(), 0u);
-  const std::thread::id main_id = std::this_thread::get_id();
-  auto future = pool.Submit([main_id] {
-    EXPECT_EQ(std::this_thread::get_id(), main_id);
-    return 42;
-  });
-  // With zero workers the task has already run by the time Submit returns.
-  EXPECT_EQ(future.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPoolTest, SingleWorkerExecutesInSubmissionOrder) {
-  ThreadPool pool(1);
-  std::vector<int> order;  // only the worker thread touches it
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.Submit([i, &order] { order.push_back(i); }));
-  }
-  for (auto& f : futures) f.get();
-  ASSERT_EQ(order.size(), 64u);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-}
-
-TEST(ThreadPoolTest, ManyWorkersCompleteEveryTask) {
-  ThreadPool pool(8);
-  EXPECT_EQ(pool.workers(), 8u);
-  std::atomic<int> done{0};
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.Submit([i, &done] {
-      done.fetch_add(1);
-      return i * i;
-    }));
-  }
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(futures[static_cast<size_t>(i)].get(), i * i);
-  }
-  EXPECT_EQ(done.load(), 200);
-}
-
-TEST(ThreadPoolTest, ExceptionPropagatesThroughFuture) {
-  ThreadPool pool(2);
-  auto ok = pool.Submit([] { return 7; });
-  auto bad = pool.Submit([]() -> int {
-    throw std::runtime_error("job failed");
-  });
-  EXPECT_EQ(ok.get(), 7);
-  EXPECT_THROW(bad.get(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, PendingTasksRunBeforeDestruction) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 32; ++i) {
-      pool.Submit([&done] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        done.fetch_add(1);
-      });
-    }
-    // Destructor must drain the queue, not drop it.
-  }
-  EXPECT_EQ(done.load(), 32);
-}
-
-TEST(ThreadPoolTest, DrainSubmitDuringShutdownStillRuns) {
-  // The shutdown contract's legal side: a task body may submit follow-up
-  // work even while the destructor is joining. The submitting worker
-  // cannot be joined mid-task and workers only exit once the queue is
-  // empty, so the drain-submit must run — silently dropping it was the
-  // bug this pins down.
-  std::atomic<int> chain{0};
-  {
-    ThreadPool pool(1);
-    pool.Submit([&pool, &chain] {
-      // Give the destructor a head start so stop_ is (very likely)
-      // already set when the inner Submit happens; correctness must not
-      // depend on winning this race either way.
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      chain.fetch_add(1);
-      pool.Submit([&pool, &chain] {
-        chain.fetch_add(1);
-        pool.Submit([&chain] { chain.fetch_add(1); });
-      });
-    });
-    // Destructor begins shutdown while the first task body is running.
-  }
-  EXPECT_EQ(chain.load(), 3);
-}
-
-TEST(ThreadPoolTest, ShutdownIsIdempotentAndSubmitBeforeItWorks) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([] { return 11; });
-  EXPECT_EQ(f.get(), 11);
-  pool.Shutdown();
-  pool.Shutdown();  // second call is a no-op
-  // Destructor will call Shutdown() a third time; still fine.
-}
 
 TEST(JobOutputTest, PrintfAppendsFormattedText) {
   JobOutput out;
@@ -131,10 +24,13 @@ TEST(JobOutputTest, PrintfAppendsFormattedText) {
   EXPECT_DOUBLE_EQ(out.modeled_ms(), 12.5);
 }
 
+TEST(ParallelRunnerTest, DefaultWorkersIsAtLeastOne) {
+  EXPECT_GE(ParallelRunner::DefaultWorkers(), 1u);
+}
+
 TEST(ParallelRunnerTest, ResultsAndTextsComeBackInSubmissionOrder) {
   for (unsigned workers : {0u, 1u, 4u}) {
-    ThreadPool pool(workers);
-    ParallelRunner runner(&pool);
+    ParallelRunner runner(workers);
     const size_t n = 24;
     Mapped<size_t> mapped = runner.Map<size_t>(
         n, [](size_t i, JobOutput* out) {
@@ -158,16 +54,48 @@ TEST(ParallelRunnerTest, ResultsAndTextsComeBackInSubmissionOrder) {
   }
 }
 
-TEST(ParallelRunnerTest, JobExceptionRethrownAtItsIndex) {
-  ThreadPool pool(4);
-  ParallelRunner runner(&pool);
-  EXPECT_THROW(
-      runner.Map<int>(16,
-                      [](size_t i, JobOutput*) -> int {
-                        if (i == 5) throw std::runtime_error("cell 5");
-                        return static_cast<int>(i);
-                      }),
-      std::runtime_error);
+TEST(ParallelRunnerTest, SerialWorkersRunEveryJobOnTheCallerInIndexOrder) {
+  // 0 and 1 workers are the one serial path: no thread is started, and
+  // the jobs run on the calling thread in index order, exactly as the
+  // serial loops the runner replaced.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (unsigned workers : {0u, 1u}) {
+    ParallelRunner runner(workers);
+    std::vector<size_t> order;  // touched only by the thread running jobs
+    Mapped<bool> on_caller = runner.Map<bool>(
+        16, [&order, caller](size_t i, JobOutput*) {
+          order.push_back(i);
+          return std::this_thread::get_id() == caller;
+        });
+    ASSERT_EQ(order.size(), 16u) << "workers=" << workers;
+    for (size_t i = 0; i < 16; ++i) {
+      EXPECT_EQ(order[i], i) << "workers=" << workers;
+      EXPECT_TRUE(on_caller.values[i])
+          << "workers=" << workers << " job " << i;
+    }
+  }
+}
+
+TEST(ParallelRunnerTest, LowestIndexExceptionRethrownAfterEveryJobFinished) {
+  // Jobs 3 and 9 throw; every job after 3 is slow. Map must let all 16
+  // finish (later jobs call `fn`, which dies with Map's caller) and only
+  // then rethrow the lowest-index exception.
+  ParallelRunner runner(4);
+  std::atomic<int> finished{0};
+  try {
+    runner.Map<int>(16, [&finished](size_t i, JobOutput*) -> int {
+      if (i > 3) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished.fetch_add(1);
+      if (i == 3 || i == 9) {
+        throw std::runtime_error("cell " + std::to_string(i));
+      }
+      return static_cast<int>(i);
+    });
+    ADD_FAILURE() << "Map returned although jobs 3 and 9 threw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "cell 3");
+  }
+  EXPECT_EQ(finished.load(), 16);
 }
 
 }  // namespace

@@ -1,19 +1,20 @@
 #!/usr/bin/env bash
-# Acceptance guard for the LOB_GUARDED_BY annotations on ThreadPool:
-# removing any one of them must demonstrably break the build gate.
+# Acceptance guard for the LOB_GUARDED_BY annotation on the campaign's
+# progress counter, the tree's last guarded member: removing it must
+# demonstrably break the build gate.
 #
 # Under Clang, *deleting* an annotation only relaxes the analysis (the
 # compiler cannot miss what is no longer claimed), so the enforced side of
 # the contract is lob_lint's LOB009 member check: every mutable member of
 # a mutex-holding class must carry a guard annotation. This test strips
-# each LOB_GUARDED_BY from a copy of src/exec/thread_pool.h, one at a
+# each LOB_GUARDED_BY from a copy of src/exec/campaign.cc, one at a
 # time, and asserts the linter reports the now-unguarded member.
 #
 # Usage: guard_strip_test.sh <repo-root>
 
 set -u
 ROOT="$1"
-SRC="$ROOT/src/exec/thread_pool.h"
+SRC="$ROOT/src/exec/campaign.cc"
 LINT="$ROOT/tools/lob_lint.py"
 PY="${PYTHON:-python3}"
 
@@ -27,23 +28,23 @@ if [ "$n" -lt 1 ]; then
 fi
 echo "stripping each of $n LOB_GUARDED_BY annotation(s) in turn"
 
-# Baseline: the unmodified header (re-pinned to its real path) is clean.
-base="$TMP/baseline.h"
+# Baseline: the unmodified source (re-pinned to its real path) is clean.
+base="$TMP/baseline.cc"
 {
-  echo "// LOBLINT-FIXTURE-PATH: src/exec/thread_pool.h"
+  echo "// LOBLINT-FIXTURE-PATH: src/exec/campaign.cc"
   cat "$SRC"
 } >"$base"
 if ! "$PY" "$LINT" --root "$ROOT" "$base" >"$TMP/baseline.out" 2>&1; then
-  echo "FAIL: pristine thread_pool.h is not lint-clean:"
+  echo "FAIL: pristine campaign.cc is not lint-clean:"
   cat "$TMP/baseline.out"
   exit 1
 fi
 
 fail=0
 for i in $(seq 1 "$n"); do
-  stripped="$TMP/stripped_$i.h"
+  stripped="$TMP/stripped_$i.cc"
   {
-    echo "// LOBLINT-FIXTURE-PATH: src/exec/thread_pool.h"
+    echo "// LOBLINT-FIXTURE-PATH: src/exec/campaign.cc"
     awk -v k="$i" '
       {
         line = $0

@@ -207,8 +207,10 @@ TEST(Workload, MixFractionsRespected) {
 
 TEST(Workload, FlagParsing) {
   const char* argv[] = {"prog", "--ops=1234", "--quick"};
-  EXPECT_EQ(FlagValue(3, const_cast<char**>(argv), "ops", 99), 1234u);
-  EXPECT_EQ(FlagValue(3, const_cast<char**>(argv), "missing", 99), 99u);
+  EXPECT_EQ(FlagValue<uint32_t>(3, const_cast<char**>(argv), "ops", 99),
+            1234u);
+  EXPECT_EQ(FlagValue<uint32_t>(3, const_cast<char**>(argv), "missing", 99),
+            99u);
   EXPECT_TRUE(FlagPresent(3, const_cast<char**>(argv), "quick"));
   EXPECT_FALSE(FlagPresent(3, const_cast<char**>(argv), "slow"));
 }

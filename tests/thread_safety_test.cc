@@ -1,9 +1,9 @@
 // Tests for the leaf-lock layer (common/lock_order.h), the latched
 // warn-log sink and the storage layer's thread confinement: a thread that
 // holds a lob::Mutex and locks another aborts, as does an unlock of a
-// mutex it does not hold (death tests); CondVar keeps the thread's held
-// mutex across waits; LOB_LOG_WARN lines stay untorn under concurrency;
-// and a BufferPool reached from a second thread aborts (death test).
+// mutex it does not hold (death tests); LOB_LOG_WARN lines stay untorn
+// under concurrency; and a BufferPool reached from a second thread aborts
+// (death test).
 //
 // The death tests put this binary under the `death` ctest label: gtest
 // death tests fork, which ThreadSanitizer does not support, so TSan runs
@@ -18,12 +18,11 @@
 #include <fstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "buffer/buffer_pool.h"
 #include "common/lock_order.h"
 #include "common/logging.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_runner.h"
 
 namespace lob {
 namespace {
@@ -34,27 +33,6 @@ TEST(LockOrderTest, ReacquireAfterReleaseIsAllowed) {
   Mutex mu;
   { MutexLock lock(&mu); }
   { MutexLock lock(&mu); }  // released, so this is not nesting
-}
-
-// ------------------------------------------------------------ cond vars
-
-TEST(CondVarTest, HandshakeKeepsMutexHeldAcrossWait) {
-  Mutex mu;
-  CondVar cv;
-  bool ready = false;
-  std::thread producer([&] {
-    MutexLock lock(&mu);
-    ready = true;
-    cv.NotifyAll();
-  });
-  {
-    MutexLock lock(&mu);
-    while (!ready) cv.Wait(&mu);
-  }  // the unlock checks the mutex is still this thread's held one
-  // Released: this thread holds nothing, so another leaf lock is fine.
-  Mutex other;
-  MutexLock lock(&other);
-  producer.join();
 }
 
 // ----------------------------------------------------------- death tests
@@ -110,18 +88,14 @@ TEST(LogSinkTest, ConcurrentWarnLinesAreUntorn) {
   constexpr int kPerThread = 50;
   {
     StderrCapture capture(path);
-    ThreadPool pool(kThreads);
-    std::vector<std::future<void>> done;
-    done.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      done.push_back(pool.Submit([t] {
-        for (int i = 0; i < kPerThread; ++i) {
-          LOB_LOG_WARN("thread %d message %d payload abcdefghijklmnop", t,
-                       i);
-        }
-      }));
-    }
-    for (auto& f : done) f.get();
+    ParallelRunner runner(kThreads);
+    runner.Map<int>(kThreads, [](size_t job, JobOutput*) {
+      const int t = static_cast<int>(job);
+      for (int i = 0; i < kPerThread; ++i) {
+        LOB_LOG_WARN("thread %d message %d payload abcdefghijklmnop", t, i);
+      }
+      return t;
+    });
   }
   // Every line must be a complete, untorn warn record; counts per thread
   // must add up. Interleaving order across threads is unconstrained.
@@ -150,33 +124,6 @@ TEST(LogSinkTest, ConcurrentWarnLinesAreUntorn) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(counts[t], kPerThread) << "thread " << t << " lost lines";
   }
-}
-
-// -------------------------------------- ThreadPool shutdown contract
-
-// The illegal sides of the shutdown contract must fail loudly instead of
-// silently dropping work (tasks vanishing into a destructed queue was
-// the original bug): a Submit from a non-worker thread after Shutdown
-// aborts, and a Shutdown from inside a task body (which would self-join)
-// aborts. The legal drain-submit side is covered in exec_test.cc.
-
-TEST(ThreadPoolDeathTest, ForeignSubmitAfterShutdownAborts) {
-  EXPECT_DEATH(
-      {
-        ThreadPool pool(1);
-        pool.Shutdown();
-        pool.Submit([] {});  // would never run
-      },
-      "Submit after Shutdown");
-}
-
-TEST(ThreadPoolDeathTest, ShutdownFromWorkerThreadAborts) {
-  EXPECT_DEATH(
-      {
-        ThreadPool pool(1);
-        pool.Submit([&pool] { pool.Shutdown(); }).get();
-      },
-      "self-join");
 }
 
 // ------------------------------------------- storage thread confinement

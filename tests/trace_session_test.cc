@@ -31,7 +31,6 @@
 #include "core/storage_system.h"
 #include "disk_test_util.h"
 #include "exec/parallel_runner.h"
-#include "exec/thread_pool.h"
 #include "obs/obs_registry.h"
 #include "obs/op_scope.h"
 #include "trace/timeline.h"
@@ -386,8 +385,7 @@ INSTANTIATE_TEST_SUITE_P(Engines, TraceConservationTest,
 // (scripts/check.sh runs this suite under TSan).
 
 TEST(TraceConcurrencyTest, PerJobSessionsAreIndependentAndDeterministic) {
-  ThreadPool pool(4);
-  ParallelRunner runner(&pool);
+  ParallelRunner runner(4);
   const size_t kJobs = 8;
   std::vector<std::unique_ptr<TraceSession>> sessions;
   for (size_t i = 0; i < kJobs; ++i) {

@@ -13,12 +13,11 @@
 // or corrupt cell exists, 2 on usage/setup errors.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "exec/campaign.h"
 #include "workload/trace.h"
+#include "workload/workload.h"
 
 using namespace lob;
 
@@ -38,6 +37,9 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   std::string source;
   CampaignOptions options;
+  // A malformed or out-of-range number exits 2 here.
+  options.jobs = FlagValue<uint32_t>(argc, argv, "jobs", options.jobs);
+  options.stride = FlagValue<uint32_t>(argc, argv, "stride", options.stride);
   std::string format = "csv";
   std::string out_path;
   bool demo = false;
@@ -46,12 +48,9 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--demo") {
       demo = true;
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      options.jobs =
-          static_cast<uint32_t>(std::strtoul(arg.c_str() + 7, nullptr, 10));
-    } else if (arg.rfind("--stride=", 0) == 0) {
-      options.stride =
-          static_cast<uint32_t>(std::strtoul(arg.c_str() + 9, nullptr, 10));
+    } else if (arg.rfind("--jobs=", 0) == 0 ||
+               arg.rfind("--stride=", 0) == 0) {
+      continue;  // parsed above
     } else if (arg == "--progress") {
       options.progress = true;
     } else if (arg.rfind("--format=", 0) == 0) {

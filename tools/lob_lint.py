@@ -51,9 +51,9 @@ break them. Rules (stable IDs, see RULES below):
   LOB008 raw-sync         No raw std synchronization primitives (std::mutex
                           family, lock_guard/unique_lock/scoped_lock,
                           condition_variable, call_once) outside src/common/.
-                          All locking goes through lob::Mutex / MutexLock /
-                          CondVar (common/lock_order.h) so every acquisition
-                          is checked to be a leaf lock at run time and is
+                          All locking goes through lob::Mutex / MutexLock
+                          (common/lock_order.h) so every acquisition is
+                          checked to be a leaf lock at run time and is
                           visible to Clang -Wthread-safety.
   LOB009 guarded-by       Mutable members in the scope of any lob::Mutex
                           declaration carry LOB_GUARDED_BY (const/static
@@ -472,9 +472,9 @@ def check_raw_sync(path, code, findings):
             findings.append(Finding(
                 path, idx, "raw-sync",
                 "raw std::%s outside src/common/; lock through lob::Mutex / "
-                "MutexLock / CondVar (common/lock_order.h) so the "
-                "acquisition is leaf-checked and visible to Clang "
-                "-Wthread-safety" % m.group(1)))
+                "MutexLock (common/lock_order.h) so the acquisition is "
+                "leaf-checked and visible to Clang -Wthread-safety"
+                % m.group(1)))
 
 
 # A lob Mutex variable declaration: type, name, then an initializer

@@ -57,8 +57,6 @@
 // simulated (volatile) disk underneath.
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -72,6 +70,7 @@
 #include "obs/bench_diff.h"
 #include "trace/trace_session.h"
 #include "workload/trace.h"
+#include "workload/workload.h"
 
 using namespace lob;
 
@@ -112,22 +111,6 @@ StatusOr<Engine> ParseEngine(const std::string& name) {
   if (name == "starburst") return Engine::kStarburst;
   if (name == "eos") return Engine::kEos;
   return Status::InvalidArgument("unknown engine (esm|starburst|eos)");
-}
-
-/// The one parser for numeric arguments: the whole of `text` must be a
-/// plain decimal number (it starts with a digit; no sign, space or
-/// suffix) that fits in T.
-template <typename T>
-StatusOr<T> ParseNumber(const std::string& text, const char* what) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
-      ec != std::errc() || stop != end) {
-    return Status::InvalidArgument(std::string("bad ") + what + " '" + text +
-                                   "'");
-  }
-  return value;
 }
 
 /// `lobtool profile <op-script> [engine] [param] [--format=F] [--out=FILE]`:

@@ -35,6 +35,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -150,9 +151,11 @@ struct BenchArgs {
   static BenchArgs Parse(int argc, char** argv) {
     BenchArgs args;
     args.quick = FlagPresent(argc, argv, "quick");
+    // At least 1 MB, and few enough that the byte count fits in uint64_t.
     const uint64_t mb =
-        FlagValue<uint64_t>(argc, argv, "object-mb", args.quick ? 2 : 10);
-    args.object_bytes = mb * 1024 * 1024;
+        FlagValue<uint64_t>(argc, argv, "object-mb", args.quick ? 2 : 10, 1,
+                            std::numeric_limits<uint64_t>::max() >> 20);
+    args.object_bytes = mb << 20;
     args.ops =
         FlagValue<uint32_t>(argc, argv, "ops", args.quick ? 2000 : 20000);
     args.window = FlagValue<uint32_t>(argc, argv, "window",

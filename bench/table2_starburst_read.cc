@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   PrintBanner("table2_starburst_read: Starburst read I/O cost",
               "Table 2 (Starburst read I/O cost)");
   const uint32_t reads =
-      FlagValue<uint32_t>(argc, argv, "reads", args.quick ? 200 : 2000);
+      FlagValue<uint32_t>(argc, argv, "reads", args.quick ? 200 : 2000, 1);
   std::printf("object: %.1f MB, reads per size: %u\n\n",
               static_cast<double>(args.object_bytes) / 1048576.0, reads);
 

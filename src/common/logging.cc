@@ -2,22 +2,7 @@
 
 #include <cstdarg>
 
-#include "common/lock_order.h"
-
 namespace lob::internal {
-
-namespace {
-
-/// The warn-log sink mutex, a leaf lock like every lob::Mutex: the
-/// storage layer and the recorders hold no lock, so they may warn from
-/// anywhere. Constant-initialized (constexpr ctor), so warnings from
-/// static initializers are safe too.
-Mutex& LogSinkMutex() {
-  static Mutex mu;
-  return mu;
-}
-
-}  // namespace
 
 void LogWarn(const char* file, int line, const char* fmt, ...) {
   char msg[1024];
@@ -25,7 +10,8 @@ void LogWarn(const char* file, int line, const char* fmt, ...) {
   va_start(args, fmt);
   std::vsnprintf(msg, sizeof(msg), fmt, args);
   va_end(args);
-  MutexLock lock(&LogSinkMutex());
+  // One fprintf per line: stdio locks the stream for the whole call, so
+  // concurrent warnings never tear mid-line.
   std::fprintf(stderr, "[lob:warn] %s:%d: %s\n", file, line, msg);
 }
 

@@ -18,14 +18,10 @@ namespace lob::internal {
   std::abort();
 }
 
-/// Serializes warning lines: the parallel experiment engine runs one
-/// bench cell per worker thread, and interleaved fprintf fragments from
-/// concurrent warnings would be unreadable (and flagged by TSan on some
-/// libc builds). Implemented in logging.cc behind an annotated leaf
-/// lob::Mutex, so a warning must not be emitted while holding another
-/// lob::Mutex (neither of the two locked sites warns under its lock).
-/// (This header deliberately does not include lock_order.h: lock_order.h
-/// uses LOB_CHECK-style aborts, so the sink mutex lives out of line.)
+/// Writes one warning line to stderr. Bench cells run on several threads,
+/// so warnings may race: the line is formatted into a private buffer and
+/// written with a single fprintf, which POSIX stdio performs under the
+/// stream's own lock, so concurrent lines never tear.
 #if defined(__GNUC__)
 __attribute__((format(printf, 3, 4)))
 #endif
@@ -47,9 +43,9 @@ void LogWarn(const char* file, int line, const char* fmt, ...);
 #define LOB_CHECK_GT(a, b) LOB_CHECK((a) > (b))
 #define LOB_CHECK_GE(a, b) LOB_CHECK((a) >= (b))
 
-/// Non-fatal warning with source location; printf-style. Emits through a
-/// mutex-guarded sink so warnings from parallel bench workers never
-/// interleave mid-line.
+/// Non-fatal warning with source location; printf-style. Each warning is
+/// one fprintf, so warnings from parallel bench workers never interleave
+/// mid-line.
 #define LOB_LOG_WARN(...) \
   ::lob::internal::LogWarn(__FILE__, __LINE__, __VA_ARGS__)
 

@@ -1,15 +1,14 @@
 #include "exec/campaign.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
 
 #include "check/fsck.h"
 #include "common/json.h"
-#include "common/lock_order.h"
 #include "common/logging.h"
-#include "common/thread_annotations.h"
 #include "common/rng.h"
 #include "core/factory.h"
 #include "exec/parallel_runner.h"
@@ -244,22 +243,17 @@ StatusOr<CampaignResult> RunCampaign(const Trace& trace,
   // any worker count.
   ParallelRunner runner(options.jobs);
   // Opt-in progress meter: the one piece of state the cell workers share.
-  // Guarded by a leaf Mutex: a worker takes it between cells, holding no
-  // other lock (each cell owns a private, lock-free system).
-  struct Progress {
-    Mutex mu_;
-    size_t done_ LOB_GUARDED_BY(mu_) = 0;
-  } progress;
+  // Each finished cell takes the next count and prints it in one fprintf,
+  // so lines may come out of order but each count appears exactly once.
+  std::atomic<size_t> done{0};
   const size_t total = points.size();
   auto mapped = runner.Map<CampaignCell>(
       points.size(), [&](size_t i, JobOutput* /*out*/) {
         CampaignCell cell =
             RunCell(points[i].first, points[i].second, trace, options);
         if (options.progress) {
-          MutexLock lock(&progress.mu_);
-          ++progress.done_;
-          std::fprintf(stderr, "campaign: %zu/%zu cells\n", progress.done_,
-                       total);
+          std::fprintf(stderr, "campaign: %zu/%zu cells\n",
+                       done.fetch_add(1) + 1, total);
         }
         return cell;
       });

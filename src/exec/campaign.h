@@ -41,10 +41,11 @@ struct CampaignOptions {
   uint32_t stride = 1;
 
   /// When set, workers report "campaign: <done>/<total> cells" on stderr
-  /// as cells finish, through a shared counter behind a leaf
-  /// lob::Mutex. Off by default: completion order is
-  /// wall-clock-dependent, so progress stays off the deterministic
-  /// stdout formats and off by default for byte-compare runs.
+  /// as cells finish, counting through one shared std::atomic (lines may
+  /// come out of order; each count is printed once). Off by default:
+  /// completion order is wall-clock-dependent, so progress stays off the
+  /// deterministic stdout formats and off by default for byte-compare
+  /// runs.
   bool progress = false;
 
   /// Structural parameters of the three engines under test.

@@ -45,13 +45,13 @@ namespace lob {
 /// Per-job text sink plus the job's self-reported modeled cost. Jobs print
 /// through this instead of stdout so parallel runs stay byte-deterministic.
 ///
-/// Thread-confinement contract (why this class carries no Mutex): each
+/// Thread-confinement contract (why this class needs no lock): each
 /// JobOutput is constructed by the thread that claimed the job, touched
 /// only by that thread while the job runs, and read by the calling thread
 /// strictly after Map has joined every helper — the join orders the
-/// accesses. It must never be shared across jobs; shared cross-worker
-/// state belongs behind an annotated leaf Mutex (see campaign.cc's
-/// progress counter for the pattern).
+/// accesses. It must never be shared across jobs; state that workers
+/// must share is a std::atomic (see campaign.cc's progress count), never
+/// a lock.
 class JobOutput {
  public:
   /// printf into the buffer.

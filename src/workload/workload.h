@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <system_error>
 #include <type_traits>
@@ -132,19 +133,23 @@ StatusOr<T> ParseNumber(const std::string& text, const char* what) {
 }
 
 /// Tiny command line helper: returns the value of --name=value parsed as
-/// T (see ParseNumber), or `def` when the flag is absent. A malformed or
-/// out-of-range value prints "bad --name 'value'" and exits with status 2.
+/// T (see ParseNumber), or `def` when the flag is absent. A malformed
+/// value, or one outside the inclusive range [lo, hi], prints
+/// "bad --name 'value'" and exits with status 2.
 template <typename T>
 T FlagValue(int argc, char** argv, const std::string& name,
-            std::type_identity_t<T> def) {
+            std::type_identity_t<T> def,
+            std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
+            std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
   const std::string flag = "--" + name;
   const std::string prefix = flag + "=";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind(prefix, 0) != 0) continue;
-    auto value = ParseNumber<T>(arg.substr(prefix.size()), flag.c_str());
-    if (!value.ok()) {
-      std::fprintf(stderr, "%s\n", value.status().message().c_str());
+    const std::string text = arg.substr(prefix.size());
+    auto value = ParseNumber<T>(text, flag.c_str());
+    if (!value.ok() || *value < lo || *value > hi) {
+      std::fprintf(stderr, "bad %s '%s'\n", flag.c_str(), text.c_str());
       std::exit(2);
     }
     return *value;

@@ -3,12 +3,21 @@
 # produce byte-identical stdout for any worker count. Enforced here for
 # two converted benches — a mix-figure bench in machine-readable CSV mode
 # and the fig5 build-time table — by diffing --jobs=1 against --jobs=4.
-# Also checks --window flag validation.
-# Usage: bench_determinism_test.sh <fig9_binary> <fig5_binary>
+# Also checks flag validation, on these two and on the benches whose own
+# count and size flags must reject 0 and byte-count overflow.
+# Usage: bench_determinism_test.sh <fig9> <fig5> <fig6_seq_scan>
+#          <ext_multi_object> <ext_build_scaling> <table2_starburst_read>
+#          <table3_starburst_update> <ext_update_scaling>
 set -euo pipefail
 
 FIG9="$1"
 FIG5="$2"
+FIG6="$3"
+MULTI="$4"
+BUILD="$5"
+TABLE2="$6"
+TABLE3="$7"
+UPDATE="$8"
 
 fail() {
   echo "FAIL: $1" >&2
@@ -85,24 +94,38 @@ for key in ("p50_ms", "p90_ms", "p99_ms", "max_ms", "mean_ms"):
     assert key in row, f"snapshot op row missing {key}: {sorted(row)}"
 EOF
 
-# 6. Flag validation: an out-of-range --window and a malformed number
-# (a sign, a suffix, no digits) must be rejected with exit status 2. The
-# timeout turns a value that is silently accepted and runs on into a
-# failure instead of a hang.
+# 6. Flag validation: an out-of-range --window, a malformed number (a
+# sign, a suffix, no digits), a zero count or size, and a size whose byte
+# count wraps uint64_t (2^44 MB, 2^54 KB) must be rejected with exit
+# status 2 and "bad --<flag> '<value>'" on stderr. The timeout turns a
+# value that is silently accepted and runs on into a failure instead of a
+# hang.
 if "$FIG9" --quick --ops=100 --window=0 > /dev/null 2>&1; then
   fail "--window=0 was accepted"
 fi
 if "$FIG9" --quick --ops=100 --window=101 > /dev/null 2>&1; then
   fail "--window=101 (> ops) was accepted"
 fi
-for bad in --ops=-5 --jobs=2x --object-mb=abc; do
-  status=0
-  timeout 60 "$FIG9" --quick "$bad" > /dev/null 2> "$tmpdir/bad_flag.err" \
+expect_bad_flag() {
+  local bin="$1" bad="$2" status=0
+  timeout 60 "$bin" --quick "$bad" > /dev/null 2> "$tmpdir/bad_flag.err" \
     || status=$?
-  [ "$status" -eq 2 ] || fail "$bad exited $status, not 2"
+  [ "$status" -eq 2 ] || fail "$(basename "$bin") $bad exited $status, not 2"
   grep -q "^bad ${bad%%=*} '${bad#*=}'\$" "$tmpdir/bad_flag.err" \
-    || fail "$bad: no \"bad ${bad%%=*} '${bad#*=}'\" on stderr"
+    || fail "$(basename "$bin") $bad: no \"bad ${bad%%=*} '${bad#*=}'\"" \
+            "on stderr"
+}
+for bad in --ops=-5 --jobs=2x --object-mb=abc; do
+  expect_bad_flag "$FIG9" "$bad"
 done
+expect_bad_flag "$MULTI" --objects=0
+expect_bad_flag "$FIG6" --object-mb=0
+expect_bad_flag "$FIG6" --object-mb=17592186044416
+expect_bad_flag "$BUILD" --append-kb=0
+expect_bad_flag "$BUILD" --append-kb=18014398509481984
+expect_bad_flag "$TABLE2" --reads=0
+expect_bad_flag "$TABLE3" --update-ops=0
+expect_bad_flag "$UPDATE" --update-ops=0
 "$FIG9" --quick --ops=100 --window=50 --csv --jobs=2 > /dev/null \
   || fail "valid --window=50 rejected"
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -213,6 +214,17 @@ TEST(Workload, FlagParsing) {
             99u);
   EXPECT_TRUE(FlagPresent(3, const_cast<char**>(argv), "quick"));
   EXPECT_FALSE(FlagPresent(3, const_cast<char**>(argv), "slow"));
+}
+
+TEST(Workload, FlagRangeIsInclusive) {
+  // Both ends of [lo, hi] are accepted; the values just outside exit 2
+  // (bench_determinism_test.sh runs those through the bench binaries).
+  const uint64_t max_mb = std::numeric_limits<uint64_t>::max() >> 20;
+  const std::string top = "--object-mb=" + std::to_string(max_mb);
+  const char* argv[] = {"prog", "--objects=1", top.c_str()};
+  char** args = const_cast<char**>(argv);
+  EXPECT_EQ(FlagValue<uint32_t>(3, args, "objects", 8, 1), 1u);
+  EXPECT_EQ(FlagValue<uint64_t>(3, args, "object-mb", 2, 1, max_mb), max_mb);
 }
 
 }  // namespace

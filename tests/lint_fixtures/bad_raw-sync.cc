@@ -1,7 +1,8 @@
 // LOBLINT-FIXTURE-PATH: src/esm/bad_sync.cc
 //
-// Raw std synchronization in library code: the acquisition bypasses the
-// run-time leaf-lock check and is invisible to Clang -Wthread-safety. Lock through lob::Mutex / MutexLock instead.
+// Raw std synchronization in library code: threads share only atomics, so
+// a lock means state that should be confined to one thread (or be a
+// std::atomic) is shared instead.
 
 #include <mutex>
 

@@ -1,7 +1,7 @@
 // LOBLINT-FIXTURE-PATH: tools/bad_sync_tool.cc
 //
 // Tools are in scope too: a condition_variable wait in a tool is exactly
-// as invisible to the leaf-lock checker as one in the library.
+// as much a lock as one in the library.
 
 #include <condition_variable>
 #include <mutex>
@@ -10,7 +10,7 @@ namespace lob {
 
 struct Waiter {
   std::mutex mu;                // BAD
-  std::condition_variable cv;   // BAD: raw condvar, use lob::CondVar
+  std::condition_variable cv;   // BAD: raw condvar
   bool ready = false;
 };
 

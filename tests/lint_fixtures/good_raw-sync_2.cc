@@ -1,23 +1,18 @@
 // LOBLINT-FIXTURE-PATH: src/esm/good_sync.cc
 //
-// The sanctioned form: a leaf lob::Mutex with an RAII MutexLock. The
-// acquisition is nesting-checked at run time and analyzable by Clang.
+// The sanctioned form: state that threads must share is one std::atomic,
+// never a lock.
 
-#include "common/lock_order.h"
-#include "common/thread_annotations.h"
+#include <atomic>
 
 namespace lob {
 
 class GoodCounter {
  public:
-  int Next() LOB_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return ++count_;
-  }
+  int Next() { return count_.fetch_add(1) + 1; }
 
  private:
-  Mutex mu_;
-  int count_ LOB_GUARDED_BY(mu_) = 0;
+  std::atomic<int> count_{0};
 };
 
 }  // namespace lob

@@ -1,11 +1,9 @@
-// Tests for the leaf-lock layer (common/lock_order.h), the latched
-// warn-log sink and the storage layer's thread confinement: a thread that
-// holds a lob::Mutex and locks another aborts, as does an unlock of a
-// mutex it does not hold (death tests); LOB_LOG_WARN lines stay untorn
-// under concurrency; and a BufferPool reached from a second thread aborts
-// (death test).
+// Tests for the two thread-safety properties the tree relies on without a
+// lock: LOB_LOG_WARN lines stay untorn under concurrency (one fprintf per
+// line), and a BufferPool reached from a second thread aborts (death
+// test), so each StorageSystem stays confined to one thread.
 //
-// The death tests put this binary under the `death` ctest label: gtest
+// The death test puts this binary under the `death` ctest label: gtest
 // death tests fork, which ThreadSanitizer does not support, so TSan runs
 // use `ctest -LE death`.
 
@@ -20,44 +18,11 @@
 #include <thread>
 
 #include "buffer/buffer_pool.h"
-#include "common/lock_order.h"
 #include "common/logging.h"
 #include "exec/parallel_runner.h"
 
 namespace lob {
 namespace {
-
-// ---------------------------------------------------------- leaf locking
-
-TEST(LockOrderTest, ReacquireAfterReleaseIsAllowed) {
-  Mutex mu;
-  { MutexLock lock(&mu); }
-  { MutexLock lock(&mu); }  // released, so this is not nesting
-}
-
-// ----------------------------------------------------------- death tests
-
-using LockOrderDeathTest = ::testing::Test;
-
-TEST(LockOrderDeathTest, NestedAcquisitionAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex outer;
-  Mutex inner;
-  EXPECT_DEATH(
-      {
-        MutexLock a(&outer);
-        MutexLock b(&inner);  // a second lob::Mutex: not a leaf
-      },
-      "lock nesting: this thread already holds a lob::Mutex; every "
-      "lob::Mutex is a leaf lock \\(common/lock_order.h\\)");
-}
-
-TEST(LockOrderDeathTest, UnlockOfUnheldMutexAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex mu;
-  EXPECT_DEATH(mu.Unlock(),
-               "lock-order: unlock of a mutex this thread does not hold");
-}
 
 // --------------------------------------------------------- warn-log sink
 

@@ -48,19 +48,13 @@ break them. Rules (stable IDs, see RULES below):
                           rollback on error, Commit() after the durable
                           install. Allocator internals (src/buddy) and code
                           outside the engines are exempt.
-  LOB008 raw-sync         No raw std synchronization primitives (std::mutex
+  LOB008 raw-sync         No std synchronization primitives (std::mutex
                           family, lock_guard/unique_lock/scoped_lock,
-                          condition_variable, call_once) outside src/common/.
-                          All locking goes through lob::Mutex / MutexLock
-                          (common/lock_order.h) so every acquisition is
-                          checked to be a leaf lock at run time and is
-                          visible to Clang -Wthread-safety.
-  LOB009 guarded-by       Mutable members in the scope of any lob::Mutex
-                          declaration carry LOB_GUARDED_BY (const/static
-                          members, the mutex itself and CondVars are
-                          exempt; genuinely unguarded state needs a
-                          LOBLINT(guarded-by) suppression stating the
-                          confinement argument).
+                          condition_variable, call_once) anywhere in src,
+                          bench or tools. Threads share only atomics (the
+                          runner's index counter, the campaign progress
+                          count): confine state to one thread instead of
+                          locking it.
 
 Suppressions
 ------------
@@ -93,7 +87,6 @@ RULES = {
     "ignore-status": "LOB006",
     "extent-guard": "LOB007",
     "raw-sync": "LOB008",
-    "guarded-by": "LOB009",
 }
 
 # ----------------------------------------------------------------- scoping
@@ -136,17 +129,13 @@ ATTRIBUTION_SCOPE_PREFIXES = ("src/",)
 EXTENT_GUARD_SCOPE_PREFIXES = (
     "src/esm/", "src/starburst/", "src/eos/", "src/lobtree/", "src/core/")
 
-# Raw-sync scope: the library, bench and tool trees must lock through the
-# leaf lob::Mutex wrappers; src/common/ is where the wrappers live.
+# Raw-sync scope: the library, bench and tool trees hold no lock at all,
+# with no exempt directory.
 RAW_SYNC_SCOPE_PREFIXES = ("src/", "bench/", "tools/")
-RAW_SYNC_ALLOW_PREFIXES = ("src/common/",)
-
-GUARDED_BY_SCOPE_PREFIXES = ("src/", "bench/", "tools/")
 
 SCAN_DIRS = ("src", "bench", "tools", "examples", "tests")
 SCAN_EXTS = (".h", ".cc", ".cpp")
-# thread_safety_fixtures are deliberately-broken clang compile-fail inputs.
-EXCLUDE_PARTS = ("lint_fixtures", "thread_safety_fixtures")
+EXCLUDE_PARTS = ("lint_fixtures",)
 
 FIXTURE_PATH_RE = re.compile(r"LOBLINT-FIXTURE-PATH:\s*(\S+)")
 SUPPRESS_RE = re.compile(r"LOBLINT\(([\w-]+)\)\s*:\s*(\S.*)")
@@ -464,86 +453,14 @@ RAW_SYNC_RE = re.compile(
 def check_raw_sync(path, code, findings):
     if not path.startswith(RAW_SYNC_SCOPE_PREFIXES):
         return
-    if path.startswith(RAW_SYNC_ALLOW_PREFIXES):
-        return
     for idx, line in enumerate(code, start=1):
         m = RAW_SYNC_RE.search(line)
         if m:
             findings.append(Finding(
                 path, idx, "raw-sync",
-                "raw std::%s outside src/common/; lock through lob::Mutex / "
-                "MutexLock (common/lock_order.h) so the acquisition is "
-                "leaf-checked and visible to Clang -Wthread-safety"
-                % m.group(1)))
-
-
-# A lob Mutex variable declaration: type, name, then an initializer
-# bracket or a bare `;`. `MutexLock`, `Mutex*`, `Mutex&` and constructor
-# declarations (`Mutex(` with no name) do not match.
-MUTEX_DECL_RE = re.compile(r"\b(Mutex)\s+(\w+)\s*[({;]")
-# A data member with the project's trailing-underscore naming, terminated
-# by `;`, `=` or a brace initializer.
-MEMBER_RE = re.compile(r"\b([A-Za-z]\w*_)\s*(?:;|=[^=]|\{)")
-MEMBER_EXEMPT_RE = re.compile(
-    r"\b(const|static|constexpr|friend|using|typedef|return|"
-    r"Mutex|CondVar)\b")
-# Innermost template argument list; stripped repeatedly so a member typed
-# `std::deque<std::function<void()>>` is not mistaken for a method.
-TEMPLATE_ARGS_RE = re.compile(r"<[^<>]*>")
-
-
-def _line_start_depths(code):
-    """depths[i] = brace depth at the start of line i+1 (code text only)."""
-    depths = []
-    depth = 0
-    for line in code:
-        depths.append(depth)
-        depth += line.count("{") - line.count("}")
-    return depths
-
-
-def check_guarded_by(path, code, findings):
-    if not path.startswith(GUARDED_BY_SCOPE_PREFIXES):
-        return
-    depths = _line_start_depths(code)
-    # Members of a mutex-holding scope must be guarded: shared mutable state
-    # next to a lock is either protected by it (annotate LOB_GUARDED_BY) or
-    # confined by some other argument (suppress with LOBLINT(guarded-by)).
-    flagged = set()
-    for decl_line, decl in enumerate(code, start=1):
-        if not MUTEX_DECL_RE.search(decl):
-            continue
-        d = depths[decl_line - 1]
-        if d < 1:
-            continue  # namespace/file scope: nothing to pair it with
-        lo = decl_line - 1  # 0-based index of the decl line
-        while lo > 0 and depths[lo - 1] >= d:
-            lo -= 1
-        hi = decl_line
-        while hi < len(code) and depths[hi] >= d:
-            hi += 1
-        for idx in range(lo + 1, hi + 1):  # 1-based line numbers
-            if depths[idx - 1] != d or idx in flagged:
-                continue
-            line = code[idx - 1]
-            if "LOB_GUARDED_BY" in line:
-                continue
-            if MEMBER_EXEMPT_RE.search(line):
-                continue
-            mm = MEMBER_RE.search(line)
-            if not mm:
-                continue
-            head = line[:mm.start(1)]
-            while TEMPLATE_ARGS_RE.search(head):
-                head = TEMPLATE_ARGS_RE.sub("", head)
-            if "(" in head:
-                continue  # method signature / call, not a data member
-            flagged.add(idx)
-            findings.append(Finding(
-                path, idx, "guarded-by",
-                "member '%s' in a mutex-holding scope lacks LOB_GUARDED_BY; "
-                "annotate which lock protects it (or justify confinement "
-                "with a LOBLINT(guarded-by) suppression)" % mm.group(1)))
+                "std::%s: threads share only atomics; confine this state "
+                "to one thread (or make it a std::atomic) instead of "
+                "locking it" % m.group(1)))
 
 
 # --------------------------------------------------------------- the driver
@@ -573,7 +490,6 @@ def lint_text(path, text):
     check_ignore_status(effective, code, comments, findings)
     check_extent_guard(effective, code, findings)
     check_raw_sync(effective, code, findings)
-    check_guarded_by(effective, code, findings)
 
     # Apply suppressions.
     file_suppressed = set()

@@ -157,7 +157,7 @@ struct BenchArgs {
                             std::numeric_limits<uint64_t>::max() >> 20);
     args.object_bytes = mb << 20;
     args.ops =
-        FlagValue<uint32_t>(argc, argv, "ops", args.quick ? 2000 : 20000);
+        FlagValue<uint32_t>(argc, argv, "ops", args.quick ? 2000 : 20000, 1);
     args.window = FlagValue<uint32_t>(argc, argv, "window",
                                       std::max(1u, args.ops / 10));
     if (args.window < 1 || args.window > args.ops) {

@@ -209,9 +209,9 @@ int RunCellThroughput(uint32_t n_cells, const std::string& json_path) {
     pages += r.pages;
   }
   // Schema v2: one aggregate snapshot over every cell's registry — the
-  // per-op percentile table spans all three engines, and the CI
-  // bench-diff gate reads its p99_ms columns. Purely modeled state,
-  // byte-identical run to run.
+  // per-op percentile table spans all three engines, and the CI gate
+  // (scripts/check_perf.py) reads its p99_ms columns. Purely modeled
+  // state, byte-identical run to run.
   MetricsSnapshot snap = MetricsSnapshot::FromRegistry(agg);
   snap.pool = pool;
   profile.set_snapshot_json(snap.ToJson("  "));

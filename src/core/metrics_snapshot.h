@@ -7,7 +7,7 @@
 // This is schema v2 of the bench metrics story and the registry's only
 // JSON view: BenchProfile embeds one snapshot per cell (and bench drivers
 // one aggregate) in BENCH_*.json, `lobtool stats json` prints one, and
-// `lobtool bench-diff` flattens the block into gateable metric paths
+// scripts/check_perf.py gates the aggregate's per-op p99_ms
 // ("metrics_snapshot.ops.esm.append.p99_ms"). Every field derives from
 // modeled state only, so a snapshot is byte-identical for any --jobs.
 //

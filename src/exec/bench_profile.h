@@ -24,7 +24,8 @@ class BenchProfile {
   /// BENCH_*.json schema version. v2 added "schema_version" itself plus
   /// the optional embedded metrics-snapshot blocks (per cell and
   /// profile-level); v1 files simply lack those keys, so v1 consumers
-  /// keep working and bench-diff reports the new keys as one-sided.
+  /// keep working. scripts/check_perf.py gates the profile-level block's
+  /// per-op p99_ms, so it fails a v1 profile.
   static constexpr int kSchemaVersion = 2;
 
   struct Cell {

@@ -95,11 +95,11 @@ for key in ("p50_ms", "p90_ms", "p99_ms", "max_ms", "mean_ms"):
 EOF
 
 # 6. Flag validation: an out-of-range --window, a malformed number (a
-# sign, a suffix, no digits), a zero count or size, and a size whose byte
-# count wraps uint64_t (2^44 MB, 2^54 KB) must be rejected with exit
-# status 2 and "bad --<flag> '<value>'" on stderr. The timeout turns a
-# value that is silently accepted and runs on into a failure instead of a
-# hang.
+# sign, a suffix, no digits), a zero count or size, a size whose byte
+# count wraps uint64_t (2^44 MB, 2^54 KB) and more objects than the
+# --object-mb budget has 4 KB pages must be rejected with exit status 2
+# and "bad --<flag> '<value>'" on stderr. The timeout turns a value that
+# is silently accepted and runs on into a failure instead of a hang.
 if "$FIG9" --quick --ops=100 --window=0 > /dev/null 2>&1; then
   fail "--window=0 was accepted"
 fi
@@ -115,10 +115,14 @@ expect_bad_flag() {
     || fail "$(basename "$bin") $bad: no \"bad ${bad%%=*} '${bad#*=}'\"" \
             "on stderr"
 }
-for bad in --ops=-5 --jobs=2x --object-mb=abc; do
+for bad in --ops=-5 --ops=0 --jobs=2x --object-mb=abc; do
   expect_bad_flag "$FIG9" "$bad"
 done
 expect_bad_flag "$MULTI" --objects=0
+expect_bad_flag "$MULTI" --objects=513
+expect_bad_flag "$MULTI" --objects=4294967295
+timeout 60 "$MULTI" --quick --objects=512 > /dev/null \
+  || fail "ext_multi_object --objects=512 (one page per object) rejected"
 expect_bad_flag "$FIG6" --object-mb=0
 expect_bad_flag "$FIG6" --object-mb=17592186044416
 expect_bad_flag "$BUILD" --append-kb=0

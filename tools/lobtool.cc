@@ -38,19 +38,10 @@
 //       nonzero self cost; feed to speedscope or inferno-flamegraph);
 //       `json` is the Chrome trace-event / Perfetto stream. --out writes
 //       the view to FILE instead of stdout.
-//   lobtool bench-diff <baseline.json> <new.json> [--gate=FILE]
-//       [--format=table|csv|json] [--neutral-band=FRACTION]
-//       per-metric drift report between two BENCH_*.json profiles (or any
-//       JSON documents): both sides are flattened to dotted metric paths
-//       and every numeric leaf becomes one row with abs/rel delta and a
-//       regression/improvement/neutral classification. --gate loads
-//       thresholds (see scripts/perf_gates.json) and turns the report
-//       into a CI gate: exit 0 clean, 1 on gate violations, 2 on bad
-//       input. A run diffed against itself reports zero drift.
 //
-// Numeric arguments (offsets, byte counts, engine parameters, the neutral
-// band) must be plain decimal numbers in range; anything else is an error
-// (exit 1, or 2 for bench-diff), never a silently truncated guess.
+// Numeric arguments (offsets, byte counts, engine parameters) must be
+// plain decimal numbers in range; anything else is an error (exit 1),
+// never a silently truncated guess.
 //
 // Every mutating command reopens the image, applies the change, and saves
 // it back - a deliberately simple single-shot model matching the
@@ -63,11 +54,9 @@
 #include <vector>
 
 #include "check/fsck.h"
-#include "common/json.h"
 #include "core/database.h"
 #include "core/factory.h"
 #include "core/metrics_snapshot.h"
-#include "obs/bench_diff.h"
 #include "trace/trace_session.h"
 #include "workload/trace.h"
 #include "workload/workload.h"
@@ -87,9 +76,7 @@ int Usage() {
                "init|create|put|cat|insert|delete|ls|rm|stat|info|stats"
                "|fsck ...\n"
                "       lobtool profile <op-script> [esm|starburst|eos] "
-               "[param] [--format=tree|folded|json] [--out=FILE]\n"
-               "       lobtool bench-diff <baseline.json> <new.json> "
-               "[--gate=FILE] [--format=table|csv|json]\n");
+               "[param] [--format=tree|folded|json] [--out=FILE]\n");
   return 2;
 }
 
@@ -187,78 +174,12 @@ int RunProfile(int argc, char** argv) {
   return 0;
 }
 
-/// `lobtool bench-diff <baseline.json> <new.json> [--gate=FILE]
-/// [--format=table|csv|json] [--neutral-band=F]`.
-int RunBenchDiff(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  const std::string base_path = argv[2];
-  const std::string new_path = argv[3];
-  std::string gate_path;
-  std::string format = "table";
-  double neutral_band = 0.01;
-  for (int i = 4; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--gate=", 0) == 0) {
-      gate_path = arg.substr(7);
-    } else if (arg.rfind("--format=", 0) == 0) {
-      format = arg.substr(9);
-    } else if (arg.rfind("--neutral-band=", 0) == 0) {
-      auto band = ParseNumber<double>(arg.substr(15), "--neutral-band");
-      if (!band.ok()) return Fail(band.status()), 2;
-      neutral_band = *band;
-    } else {
-      std::fprintf(stderr, "lobtool bench-diff: unknown argument %s\n",
-                   arg.c_str());
-      return 2;
-    }
-  }
-  if (format != "table" && format != "csv" && format != "json") {
-    std::fprintf(stderr, "lobtool bench-diff: bad --format=%s\n",
-                 format.c_str());
-    return 2;
-  }
-
-  // Bad input (unreadable or malformed JSON, bad gate spec) exits 2 so
-  // callers can tell "regression" (1) from "couldn't compare" (2).
-  auto base = JsonValue::ParseFile(base_path);
-  if (!base.ok()) return Fail(base.status()), 2;
-  auto fresh = JsonValue::ParseFile(new_path);
-  if (!fresh.ok()) return Fail(fresh.status()), 2;
-  JsonValue gates;
-  bool have_gates = false;
-  if (!gate_path.empty()) {
-    auto parsed = JsonValue::ParseFile(gate_path);
-    if (!parsed.ok()) return Fail(parsed.status()), 2;
-    gates = std::move(*parsed);
-    have_gates = true;
-  }
-
-  auto diff = BenchDiff::Compare(*base, *fresh,
-                                 have_gates ? &gates : nullptr, neutral_band);
-  if (!diff.ok()) return Fail(diff.status()), 2;
-  if (format == "csv") {
-    std::fputs(diff->ToCsv().c_str(), stdout);
-  } else if (format == "json") {
-    std::fputs(diff->ToJson().c_str(), stdout);
-  } else {
-    std::fputs(diff->ToTable().c_str(), stdout);
-  }
-  if (diff->HasViolations()) {
-    for (const auto& v : diff->violations()) {
-      std::fprintf(stderr, "bench-diff: VIOLATION: %s\n", v.c_str());
-    }
-    return 1;
-  }
-  return 0;
-}
-
 int Run(int argc, char** argv) {
   if (argc < 3) return Usage();
   const std::string image = argv[1];
   const std::string cmd = argv[2];
 
   if (image == "profile") return RunProfile(argc, argv);
-  if (image == "bench-diff") return RunBenchDiff(argc, argv);
 
   if (cmd == "init") {
     auto db = Database::Create();

@@ -100,7 +100,30 @@ void BufferPool::CheckOwner() {
 }
 
 int BufferPool::FindSlot(AreaId area, PageId page) const {
-  return map_.Find(Key(area, page));
+  for (uint32_t i = 0; i < frames_.size(); ++i) {
+    const Frame& f = frames_[i];
+    if (f.valid && f.page == page && f.area == area) {
+      return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
+void BufferPool::RefreshCached(AreaId area, PageId first, uint32_t n_pages,
+                               const MutPageRef* imgs) {
+  // No I/O here, so one walk over the frames replaces a lookup per page.
+  for (uint32_t s = 0; s < frames_.size(); ++s) {
+    Frame& f = frames_[s];
+    if (!f.valid || f.area != area || f.page - first >= n_pages) continue;
+    const char* img = imgs[f.page - first].data;
+    if (config_.pool_zero_copy) {
+      f.borrow = img;
+    } else {
+      std::memcpy(SlotData(s), img, config_.page_size);
+      f.borrow = nullptr;
+    }
+    f.dirty = false;
+  }
 }
 
 char* BufferPool::MaterializeSlot(uint32_t slot) {
@@ -129,7 +152,6 @@ Status BufferPool::EvictSlot(uint32_t slot) {
     const char* src = SlotData(slot);
     LOB_RETURN_IF_ERROR(disk_->WriteRun(f.area, f.page, 1, &src));
   }
-  map_.Erase(Key(f.area, f.page));
   f.valid = false;
   f.dirty = false;
   f.borrow = nullptr;
@@ -213,7 +235,6 @@ StatusOr<PageGuard> BufferPool::FixPage(AreaId area, PageId page,
   f.dirty = false;
   f.pins = 1;
   f.lru = ++tick_;
-  map_.Insert(Key(area, page), slot);
   return PageGuard(this, slot);
 }
 
@@ -297,7 +318,6 @@ Status BufferPool::ReadSegmentRange(AreaId area, PageId seg_first,
           f.dirty = false;
           f.pins = 0;
           f.lru = ++tick_;
-          map_.Insert(Key(area, p0 + i), w + i);
         }
         loaded = Status::OK();
         break;
@@ -476,18 +496,7 @@ Status BufferPool::WriteSegmentRange(AreaId area, PageId seg_first,
   }
   // Refresh any cached copies so the pool stays coherent: re-borrow the
   // freshly written images instead of copying them back.
-  for (PageId p = p0; p <= p1; ++p) {
-    int s = FindSlot(area, p);
-    if (s < 0) continue;
-    Frame& f = frames_[static_cast<uint32_t>(s)];
-    if (config_.pool_zero_copy) {
-      f.borrow = imgs[p - p0].data;
-    } else {
-      std::memcpy(SlotData(static_cast<uint32_t>(s)), imgs[p - p0].data, P);
-      f.borrow = nullptr;
-    }
-    f.dirty = false;
-  }
+  RefreshCached(area, p0, np, imgs);
   return Status::OK();
 }
 
@@ -517,18 +526,7 @@ Status BufferPool::WriteFreshSegment(AreaId area, PageId first,
     LOB_TRACE_SPAN(disk_, "pool.write_fresh");
     LOB_RETURN_IF_ERROR(disk_->WriteRun(area, first, np, srcs, imgs));
   }
-  for (uint32_t i = 0; i < np; ++i) {
-    int s = FindSlot(area, first + i);
-    if (s < 0) continue;
-    Frame& f = frames_[static_cast<uint32_t>(s)];
-    if (config_.pool_zero_copy) {
-      f.borrow = imgs[i].data;
-    } else {
-      std::memcpy(SlotData(static_cast<uint32_t>(s)), imgs[i].data, P);
-      f.borrow = nullptr;
-    }
-    f.dirty = false;
-  }
+  RefreshCached(area, first, np, imgs);
   return Status::OK();
 }
 
@@ -595,34 +593,15 @@ Status BufferPool::FlushAll() {
 
 Status BufferPool::Invalidate(AreaId area, PageId first, uint32_t n_pages) {
   CheckOwner();
-  for (uint32_t i = 0; i < n_pages; ++i) {
-    int s = FindSlot(area, first + i);
-    if (s < 0) continue;
-    Frame& f = frames_[static_cast<uint32_t>(s)];
+  // No I/O here, so one walk over the frames replaces a lookup per page.
+  for (Frame& f : frames_) {
+    if (!f.valid || f.area != area || f.page - first >= n_pages) continue;
     if (f.pins != 0) return Status::Internal("invalidating pinned page");
-    map_.Erase(Key(f.area, f.page));
     f.valid = false;
     f.dirty = false;
     f.borrow = nullptr;
   }
   return Status::OK();
-}
-
-std::vector<BufferPool::CachedPage> BufferPool::CachedPagesSorted() const {
-  // Walk the frame table (a vector, slot order) rather than the hash
-  // lookup table, then pin the ordering explicitly: the result must be a
-  // pure function of *which* pages are cached, never of insertion order
-  // or hash seeding.
-  std::vector<CachedPage> out;
-  out.reserve(frames_.size());
-  for (const Frame& f : frames_) {
-    if (f.valid) out.push_back({f.area, f.page, f.dirty});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const CachedPage& a, const CachedPage& b) {
-              return a.area != b.area ? a.area < b.area : a.page < b.page;
-            });
-  return out;
 }
 
 bool BufferPool::IsCached(AreaId area, PageId page) const {
@@ -639,7 +618,6 @@ BufferPool::State BufferPool::SaveState() const {
   State state;
   state.arena = arena_;
   state.frames = frames_;
-  state.map = map_;
   state.tick = tick_;
   state.hits = hits_;
   state.misses = misses_;
@@ -655,7 +633,6 @@ void BufferPool::RestoreState(const State& state) {
   // the content did not change, so the eventual re-write is identical.
   arena_ = state.arena;
   frames_ = state.frames;
-  map_ = state.map;
   tick_ = state.tick;
   hits_ = state.hits;
   misses_ = state.misses;

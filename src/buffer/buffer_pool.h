@@ -37,7 +37,6 @@
 #include "common/arena.h"
 #include "common/config.h"
 #include "common/status.h"
-#include "buffer/page_table.h"
 #include "iomodel/sim_disk.h"
 
 namespace lob {
@@ -94,9 +93,15 @@ enum class FixMode {
 /// segment I/O, flush, invalidate, RestoreState); if any other thread
 /// calls one later, the process aborts with a diagnostic naming both
 /// threads. The check is always on, in every build type. Const
-/// inspection (IsCached/IsDirty, counters, CachedPagesSorted, SaveState,
-/// PageGuard::data) is not checked. Frame pointers handed out via
-/// PageGuard stay valid while the pin is held.
+/// inspection (IsCached/IsDirty, counters, SaveState, PageGuard::data) is
+/// not checked. Frame pointers handed out via PageGuard stay valid while
+/// the pin is held.
+///
+/// The frame table is the pool's only index: a lookup scans the frames
+/// (12 in the study) for the valid one that holds the page. A page never
+/// has two valid frames, because FixPage installs a frame only after a
+/// miss and a segment refetch drops the run's cached copies before it
+/// installs the run.
 class BufferPool {
  public:
   BufferPool(SimDisk* disk, const StorageConfig& config);
@@ -151,7 +156,6 @@ class BufferPool {
   bool IsCached(AreaId area, PageId page) const;
   bool IsDirty(AreaId area, PageId page) const;
 
-  uint32_t pool_pages() const { return config_.buffer_pool_pages; }
   uint32_t page_size() const { return config_.page_size; }
   SimDisk* disk() const { return disk_; }
 
@@ -160,28 +164,6 @@ class BufferPool {
   uint64_t misses() const { return misses_; }
   /// Number of valid frames evicted to make room (dirty or clean).
   uint64_t evictions() const { return evictions_; }
-
-  /// One entry of the ordered cached-page enumeration below.
-  struct CachedPage {
-    AreaId area = 0;
-    PageId page = kInvalidPage;
-    bool dirty = false;
-
-    bool operator==(const CachedPage& o) const {
-      return area == o.area && page == o.page && dirty == o.dirty;
-    }
-  };
-
-  /// Ordered enumeration of the cached pages, sorted by (area, page).
-  ///
-  /// This is the only sanctioned way to walk the pool's contents for
-  /// stats/timeline/trace output: the internal lookup table is an
-  /// open-addressing hash table whose bucket order is hash- and history-
-  /// dependent, so enumerating it directly would leak nondeterministic
-  /// ordering into exporters (tools/lob_lint.py rule LOB002/unordered-iter
-  /// rejects such iteration; the buffer_pool_test permutation test pins
-  /// this function's insertion-order independence).
-  std::vector<CachedPage> CachedPagesSorted() const;
 
  private:
   friend class PageGuard;
@@ -223,7 +205,13 @@ class BufferPool {
     return (static_cast<uint64_t>(area) << 32) | page;
   }
 
+  /// The slot of the valid frame holding (area, page), or -1.
   int FindSlot(AreaId area, PageId page) const;
+
+  /// Points each cached frame of [first, first+n_pages) at the image
+  /// `imgs[page - first]` that a WriteRun just stored, and marks it clean.
+  void RefreshCached(AreaId area, PageId first, uint32_t n_pages,
+                     const MutPageRef* imgs);
 
   /// Picks a victim frame (unpinned; clean preferred, then LRU), writing a
   /// dirty victim back. Returns slot or error if everything is pinned.
@@ -245,7 +233,6 @@ class BufferPool {
   const StorageConfig config_;
   std::vector<char> arena_;
   std::vector<Frame> frames_;
-  PageTable map_;
   /// Staging for run I/O gather/scatter arrays.
   ScratchArena scratch_;
   uint64_t tick_ = 0;
@@ -254,22 +241,22 @@ class BufferPool {
   uint64_t evictions_ = 0;
 
  public:
-  /// Opaque snapshot of the cached state: page contents, frame table,
-  /// lookup map, LRU clock and hit/miss counters. Audit walks (e.g.
-  /// timeline sampling, which reads index pages through the pool inside
-  /// an UnmeteredSection) bracket themselves with SaveState/RestoreState
-  /// so inspecting storage state cannot perturb the eviction order — and
-  /// therefore the measured cost — of the operations that follow. Both
-  /// calls require every frame to be unpinned. Borrowed frames snapshot
-  /// by pointer: page images never move or disappear, and a read-only
-  /// walk can only write a page image by evicting a dirty frame for it —
-  /// which cannot coexist with a borrowed frame for the same page.
+  /// Opaque snapshot of the cached state: page contents, frame table
+  /// (which is also the lookup index), LRU clock and hit/miss counters.
+  /// Audit walks (e.g. timeline sampling, which reads index pages through
+  /// the pool inside an UnmeteredSection) bracket themselves with
+  /// SaveState/RestoreState so inspecting storage state cannot perturb
+  /// the eviction order — and therefore the measured cost — of the
+  /// operations that follow. Both calls require every frame to be
+  /// unpinned. Borrowed frames snapshot by pointer: page images never
+  /// move or disappear, and a read-only walk can only write a page image
+  /// by evicting a dirty frame for it — which cannot coexist with a
+  /// borrowed frame for the same page.
   struct State {
    private:
     friend class BufferPool;
     std::vector<char> arena;
     std::vector<Frame> frames;
-    PageTable map;
     uint64_t tick = 0;
     uint64_t hits = 0;
     uint64_t misses = 0;

@@ -227,6 +227,9 @@ StatusOr<FsckReport> FsckObjects(
 
 StatusOr<FsckReport> FsckDatabase(Database* db, uint32_t parameter,
                                   const FsckOptions& options) {
+  // The catalog walks and root reads below are part of the audit too, so
+  // the section covers them; FsckObjects nests its own inside it.
+  StorageSystem::UnmeteredSection unmetered(db->sys());
   auto catalog_pages = db->catalog()->Pages();
   if (!catalog_pages.ok()) return catalog_pages.status();
   std::vector<PageId> extra = *catalog_pages;

@@ -24,9 +24,10 @@
 //      must match the catalog's volatile name index page for page and
 //      name for name; a difference is a structure issue.
 //
-// The walk runs inside StorageSystem::UnmeteredSection, so it neither
-// perturbs measured I/O costs nor trips armed fault injections - fsck can
-// examine a system whose disk still has a sticky fault armed.
+// Both entry points run the whole walk (FsckDatabase's catalog scans and
+// root reads included) inside StorageSystem::UnmeteredSection, so it
+// neither perturbs measured I/O costs nor trips armed fault injections -
+// fsck can examine a system whose disk still has a sticky fault armed.
 
 #ifndef LOB_CHECK_FSCK_H_
 #define LOB_CHECK_FSCK_H_

@@ -288,6 +288,47 @@ TEST_F(BufferPoolTest, InvalidateDropsWithoutWriteback) {
   EXPECT_FALSE(pool_.IsCached(area_, 4));
 }
 
+TEST_F(BufferPoolTest, WindowRefetchLeavesOneFramePerPage) {
+  // The pool finds a page by scanning its frames, so a page must never
+  // have two valid frames. A buffered read whose run is partly cached
+  // refetches the whole run into a window of frames; it must drop the
+  // cached copies first (writing the dirty one back once), or they would
+  // survive beside the window.
+  Seed(0, 4);
+  for (PageId p = 100; p < 104; ++p) {  // fill frames 0-3: the window
+    ASSERT_TRUE(pool_.FixPage(area_, p, FixMode::kNew).ok());
+  }
+  ASSERT_TRUE(pool_.FixPage(area_, 1, FixMode::kRead).ok());  // frame 4
+  {
+    auto g = pool_.FixPage(area_, 2, FixMode::kRead);  // frame 5
+    ASSERT_TRUE(g.ok());
+    g->mutable_data()[0] = 'Z';
+    g->MarkDirty();
+  }
+  disk_.ResetStats();
+
+  std::vector<char> out(4 * 4096);
+  ASSERT_TRUE(
+      pool_.ReadSegmentRange(area_, 0, 4 * 4096, 0, 4 * 4096, out.data()).ok());
+  EXPECT_EQ(disk_.stats().read_calls, 1u) << "one refetch of the whole run";
+  EXPECT_EQ(out[2 * 4096], 'Z') << "dirty page written back before refetch";
+  ASSERT_TRUE(pool_.FlushAll().ok());
+  EXPECT_EQ(disk_.stats().write_calls, 1u);
+  EXPECT_EQ(disk_.stats().pages_written, 1u) << "written back exactly once";
+
+  const uint64_t hits = pool_.hits();
+  for (PageId p = 0; p < 4; ++p) {
+    ASSERT_TRUE(pool_.FixPage(area_, p, FixMode::kRead).ok());
+  }
+  EXPECT_EQ(pool_.hits(), hits + 4);
+  EXPECT_EQ(disk_.stats().read_calls, 1u);
+
+  ASSERT_TRUE(pool_.Invalidate(area_, 0, 4).ok());
+  for (PageId p = 0; p < 4; ++p) {
+    EXPECT_FALSE(pool_.IsCached(area_, p)) << "page " << p;
+  }
+}
+
 TEST_F(BufferPoolTest, RunLoadFallsBackWhenWindowUnavailable) {
   // Pin 10 of the 12 frames with alternating pages so no 4-slot window of
   // unpinned frames exists; a 4-page buffered read must fall back to
@@ -418,12 +459,12 @@ TEST_F(BufferPoolTest, RandomOpsMatchReferenceModel) {
 
 // ------------------------------------------------- deterministic iteration
 //
-// The pool's lookup table is an unordered_map; nothing may let its hash
-// order reach observable output. CachedPagesSorted() is the sanctioned
-// ordered enumeration: whatever order pages were fixed in, the enumeration
-// and the I/O sequence of a subsequent FlushAll must be identical.
+// The order pages were fixed in decides which frame each one lands in.
+// Nothing may let that slot order reach observable output: FlushAll sorts
+// the dirty frames by (area, page), so its I/O sequence must be identical
+// for every fix order.
 
-TEST_F(BufferPoolTest, CachedEnumerationIndependentOfInsertionOrder) {
+TEST_F(BufferPoolTest, FlushAllIoIndependentOfFixOrder) {
   // Distinct (area, page) keys spread over two areas, fixed in several
   // permuted orders into fresh pools. The pool holds 12 frames; 8 pages
   // are fixed so no eviction perturbs the cached set.
@@ -437,7 +478,6 @@ TEST_F(BufferPoolTest, CachedEnumerationIndependentOfInsertionOrder) {
       {3, 0, 7, 4, 1, 6, 2, 5},
       {5, 2, 6, 1, 7, 0, 4, 3}};
 
-  std::vector<BufferPool::CachedPage> expected;
   IoStats expected_flush_delta;
   for (size_t variant = 0; variant < orders.size(); ++variant) {
     SimDisk disk(cfg_);
@@ -453,29 +493,19 @@ TEST_F(BufferPoolTest, CachedEnumerationIndependentOfInsertionOrder) {
       // Dirty a deterministic subset (by key, not by insertion position).
       if (keys[idx].second % 2 == 1) g->MarkDirty();
     }
-    const std::vector<BufferPool::CachedPage> got = pool.CachedPagesSorted();
-    ASSERT_EQ(got.size(), keys.size());
-    // Sorted by (area, page); dirty = odd page numbers.
-    for (size_t i = 1; i < got.size(); ++i) {
-      ASSERT_TRUE(got[i - 1].area < got[i].area ||
-                  (got[i - 1].area == got[i].area &&
-                   got[i - 1].page < got[i].page));
+    for (const auto& [area, page] : keys) {
+      ASSERT_EQ(pool.IsDirty(area, page), page % 2 == 1);
     }
-    for (const auto& cp : got) ASSERT_EQ(cp.dirty, cp.page % 2 == 1);
 
-    // FlushAll's I/O sequence (call count, seeks, pages) must also be a
-    // pure function of the dirty set, not of insertion order.
+    // FlushAll's I/O sequence (call count, seeks, pages) must be a pure
+    // function of the dirty set, not of the fix order.
     const IoStats before = disk.stats();
     ASSERT_TRUE(pool.FlushAll().ok());
     const IoStats flush_delta = IoStats::Delta(before, disk.stats());
 
     if (variant == 0) {
-      expected = got;
       expected_flush_delta = flush_delta;
     } else {
-      EXPECT_EQ(got, expected)
-          << "insertion order leaked into the enumeration (variant "
-          << variant << ")";
       EXPECT_EQ(flush_delta.write_calls, expected_flush_delta.write_calls)
           << "variant " << variant;
       EXPECT_EQ(flush_delta.pages_written, expected_flush_delta.pages_written)

@@ -14,6 +14,7 @@
 #include "check/fsck.h"
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/database.h"
 #include "core/factory.h"
 #include "core/storage_system.h"
 #include "lobtree/node_layout.h"
@@ -279,6 +280,50 @@ TEST_F(FsckTest, FsckDoesNotPerturbMeteredCosts) {
   EXPECT_TRUE(report->clean()) << report->ToString();
   EXPECT_EQ(sys_.stats().read_calls, before.read_calls);
   EXPECT_EQ(sys_.stats().write_calls, before.write_calls);
+}
+
+/// A database of 50 objects over all three engines: more roots than the
+/// 12-frame pool holds, so walking them must read from disk.
+std::unique_ptr<Database> FiftyObjectDatabase() {
+  auto db = Database::Create();
+  LOB_CHECK_OK(db.status());
+  const Engine engines[] = {Engine::kEsm, Engine::kStarburst, Engine::kEos};
+  for (int i = 0; i < 50; ++i) {
+    auto id = (*db)->CreateObject("obj" + std::to_string(i), engines[i % 3]);
+    LOB_CHECK_OK(id.status());
+    auto mgr = (*db)->ManagerForObject(*id);
+    LOB_CHECK_OK(mgr.status());
+    LOB_CHECK_OK((*mgr)->Append(*id, Pattern(static_cast<uint64_t>(i), 9000)));
+  }
+  return std::move(*db);
+}
+
+TEST(FsckDatabaseTest, LeavesStatsAndLedgerUnchanged) {
+  auto db = FiftyObjectDatabase();
+  const IoStats before = db->sys()->stats();
+  const std::string ledger = db->sys()->obs()->ToCsv();
+  auto report = FsckDatabase(db.get());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->clean()) << report->ToString();
+  const IoStats after = db->sys()->stats();
+  EXPECT_EQ(after.read_calls, before.read_calls);
+  EXPECT_EQ(after.write_calls, before.write_calls);
+  EXPECT_EQ(after.pages_read, before.pages_read);
+  EXPECT_EQ(after.pages_written, before.pages_written);
+  EXPECT_EQ(after.ms, before.ms);
+  EXPECT_EQ(db->sys()->obs()->ToCsv(), ledger);
+}
+
+TEST(FsckDatabaseTest, CleanWithStickyReadFaultArmed) {
+  auto db = FiftyObjectDatabase();
+  FaultSpec reads;
+  reads.kind = FaultKind::kSticky;
+  reads.match_writes = false;
+  db->sys()->disk()->ArmFault(reads);
+  auto report = FsckDatabase(db.get());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->clean()) << report->ToString();
+  EXPECT_EQ(db->sys()->disk()->faults_fired(), 0u);
 }
 
 }  // namespace

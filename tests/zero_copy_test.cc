@@ -1,9 +1,10 @@
-// Contract tests for zero-copy page I/O (ISSUE 7): borrowed PageRef /
-// frame views must alias the live disk image, materialize on mutation
-// (copy-on-write), survive eviction and SaveState/RestoreState, keep
-// fault injection firing on the batched ReadRun/WriteRun entry points,
-// and produce byte-identical images and modeled costs with the zero-copy
-// path disabled (StorageConfig::pool_zero_copy = false).
+// Contract tests for zero-copy page I/O: borrowed PageRef / frame views
+// must alias the live disk image, materialize on mutation (copy-on-write),
+// survive eviction and SaveState/RestoreState, keep fault injection firing
+// on the batched ReadRun/WriteRun entry points, and produce byte-identical
+// images and modeled costs with the zero-copy path disabled
+// (StorageConfig::pool_zero_copy = false). The pool's frame lookup itself
+// is covered by buffer_pool_test.
 
 #include <cstring>
 #include <string>
@@ -12,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "buffer/buffer_pool.h"
-#include "buffer/page_table.h"
 #include "disk_test_util.h"
 #include "iomodel/sim_disk.h"
 
@@ -294,73 +294,6 @@ TEST(BufferPoolZeroCopy, DifferentialZeroCopyOnOff) {
       continue;
     }
     EXPECT_EQ(0, std::memcmp(img_on, img_off, on.page_size)) << "page " << p;
-  }
-}
-
-// ---- PageTable unit coverage ----
-
-TEST(PageTableTest, InsertFindEraseOverwrite) {
-  PageTable t;
-  EXPECT_EQ(t.Find(42), -1);
-  t.Insert(42, 7);
-  EXPECT_EQ(t.Find(42), 7);
-  t.Insert(42, 9);  // overwrite, not duplicate
-  EXPECT_EQ(t.Find(42), 9);
-  EXPECT_EQ(t.size(), 1u);
-  EXPECT_TRUE(t.Erase(42));
-  EXPECT_FALSE(t.Erase(42));
-  EXPECT_EQ(t.Find(42), -1);
-  EXPECT_EQ(t.size(), 0u);
-}
-
-TEST(PageTableTest, GrowsPastInitialCapacityAndBackShifts) {
-  PageTable t;
-  // Hundreds of inserts force several rehashes past the 16-bucket floor.
-  for (uint64_t k = 0; k < 500; ++k) t.Insert(k * 0x9E3779B97F4A7C15ULL, 1);
-  EXPECT_EQ(t.size(), 500u);
-  // Erase every other key; the survivors must all stay findable
-  // (backward-shift deletion leaves no tombstones to stumble over).
-  for (uint64_t k = 0; k < 500; k += 2) {
-    EXPECT_TRUE(t.Erase(k * 0x9E3779B97F4A7C15ULL));
-  }
-  for (uint64_t k = 1; k < 500; k += 2) {
-    EXPECT_EQ(t.Find(k * 0x9E3779B97F4A7C15ULL), 1) << k;
-  }
-  for (uint64_t k = 0; k < 500; k += 2) {
-    EXPECT_EQ(t.Find(k * 0x9E3779B97F4A7C15ULL), -1) << k;
-  }
-}
-
-TEST(PageTableTest, MatchesReferenceMapUnderChurn) {
-  PageTable t;
-  std::vector<std::pair<uint64_t, uint32_t>> ref;
-  uint64_t rng = 12345;
-  auto next = [&rng]() {
-    rng ^= rng << 13;
-    rng ^= rng >> 7;
-    rng ^= rng << 17;
-    return rng;
-  };
-  for (int i = 0; i < 5000; ++i) {
-    const uint64_t key = next() % 257;  // small key space: heavy churn
-    if (next() % 3 == 0) {
-      t.Erase(key);
-      for (auto it = ref.begin(); it != ref.end(); ++it) {
-        if (it->first == key) { ref.erase(it); break; }
-      }
-    } else {
-      const uint32_t slot = static_cast<uint32_t>(next() % 1000);
-      t.Insert(key, slot);
-      bool found = false;
-      for (auto& kv : ref) {
-        if (kv.first == key) { kv.second = slot; found = true; break; }
-      }
-      if (!found) ref.emplace_back(key, slot);
-    }
-  }
-  EXPECT_EQ(t.size(), ref.size());
-  for (const auto& kv : ref) {
-    EXPECT_EQ(t.Find(kv.first), static_cast<int>(kv.second)) << kv.first;
   }
 }
 

@@ -476,7 +476,7 @@ def lint_text(path, text):
     check_wallclock(effective, code, strings, findings)
 
     # When linting a .cc, fold in unordered members declared in its header so
-    # `for (auto& kv : map_)` in the .cc is caught.
+    # `for (auto& kv : index_)` in the .cc is caught.
     extra = ()
     if path.endswith(".cc"):
         header = os.path.splitext(path)[0] + ".h"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "buffer/staged_bytes.h"
 #include "common/logging.h"
 #include "trace/trace_span.h"
 #include "common/math_util.h"
@@ -244,13 +245,13 @@ Status EosManager::Insert(ObjectId id, uint64_t offset,
     // Small result: splitting would immediately trigger a threshold merge
     // back into one segment, so splice-rewrite the segment directly (one
     // read, one shadowed write).
-    std::string content(leaf->bytes, '\0');
-    LOB_RETURN_IF_ERROR(ReadLeaf(*leaf, 0, leaf->bytes, content.data()));
-    content.insert(local, data.data(), data.size());
+    auto content = StageSplice(sys_->pool(), leaf_area_id(), leaf->page,
+                               leaf->bytes, local, 0, data);
+    if (!content.ok()) return content.status();
     // Install the rewritten segment in the tree before freeing the old
     // one: freeing first left the tree pointing at reclaimed pages if the
     // repoint failed.
-    auto np = WriteNewSegment(content, &ctx);
+    auto np = WriteNewSegment(*content, &ctx);
     if (!np.ok()) return np.status();
     LOB_RETURN_IF_ERROR(tree_->UpdateLeaf(
         id, leaf->start, static_cast<int64_t>(data.size()),
@@ -276,7 +277,7 @@ Status EosManager::Insert(ObjectId id, uint64_t offset,
         std::min<uint64_t>(split_page_end, leaf->bytes) - local;
     const uint64_t right_pages_bytes =
         leaf->bytes > split_page_end ? leaf->bytes - split_page_end : 0;
-    std::string moved(data.size() + straddle, '\0');
+    StagedBytes moved(data.size() + straddle);
     std::memcpy(moved.data(), data.data(), data.size());
     LOB_RETURN_IF_ERROR(
         ReadLeaf(*leaf, local, straddle, moved.data() + data.size()));
@@ -362,7 +363,7 @@ Status EosManager::Delete(ObjectId id, uint64_t offset, uint64_t n) {
             std::min<uint64_t>(boundary, leaf->bytes) - take;
         const uint64_t right_pages_bytes =
             leaf->bytes > boundary ? leaf->bytes - boundary : 0;
-        std::string moved(straddle, '\0');
+        StagedBytes moved(straddle);
         LOB_RETURN_IF_ERROR(ReadLeaf(*leaf, take, straddle, moved.data()));
         auto np = WriteNewSegment(moved, &ctx);
         if (!np.ok()) return np.status();
@@ -387,11 +388,11 @@ Status EosManager::Delete(ObjectId id, uint64_t offset, uint64_t n) {
                    2 * P) {
       // Small remainder: rewriting the segment directly beats splitting
       // and re-merging under the threshold rule.
-      std::string content(leaf->bytes, '\0');
-      LOB_RETURN_IF_ERROR(ReadLeaf(*leaf, 0, leaf->bytes, content.data()));
-      content.erase(local, take);
+      auto content = StageSplice(sys_->pool(), leaf_area_id(), leaf->page,
+                                 leaf->bytes, local, take, {});
+      if (!content.ok()) return content.status();
       // Repoint the tree first, then free the old pages (see Insert).
-      auto np = WriteNewSegment(content, &ctx);
+      auto np = WriteNewSegment(*content, &ctx);
       if (!np.ok()) return np.status();
       LOB_RETURN_IF_ERROR(tree_->UpdateLeaf(
           id, leaf->start, -static_cast<int64_t>(take), np->first_page(),
@@ -425,7 +426,7 @@ Status EosManager::Delete(ObjectId id, uint64_t offset, uint64_t n) {
             std::min<uint64_t>(boundary, leaf->bytes) - end;
         const uint64_t right_pages_bytes =
             leaf->bytes > boundary ? leaf->bytes - boundary : 0;
-        std::string moved(straddle, '\0');
+        StagedBytes moved(straddle);
         LOB_RETURN_IF_ERROR(ReadLeaf(*leaf, end, straddle, moved.data()));
         LOB_RETURN_IF_ERROR(tree_->UpdateLeaf(
             id, leaf->start,
@@ -476,7 +477,7 @@ Status EosManager::ShuffleLeaves(ObjectId id,
     // the remainder of b stays page-aligned in place.
     const uint64_t m = CeilDiv(tp - a.bytes, P) * P;
     LOB_CHECK_LT(m, b.bytes);
-    std::string content(a.bytes + m, '\0');
+    StagedBytes content(a.bytes + m);
     LOB_RETURN_IF_ERROR(ReadLeaf(a, 0, a.bytes, content.data()));
     LOB_RETURN_IF_ERROR(ReadLeaf(b, 0, m, content.data() + a.bytes));
     auto np = WriteNewSegment(content, ctx);
@@ -495,7 +496,7 @@ Status EosManager::ShuffleLeaves(ObjectId id,
   // the left segment trims in place to a partial last page).
   const uint64_t m = tp - b.bytes;
   LOB_CHECK_LT(m, a.bytes);
-  std::string content(m + b.bytes, '\0');
+  StagedBytes content(m + b.bytes);
   LOB_RETURN_IF_ERROR(ReadLeaf(a, a.bytes - m, m, content.data()));
   LOB_RETURN_IF_ERROR(ReadLeaf(b, 0, b.bytes, content.data() + m));
   auto np = WriteNewSegment(content, ctx);
@@ -517,7 +518,7 @@ Status EosManager::MergeLeaves(ObjectId id,
                                const PositionalTree::LeafInfo& b,
                                OpContext* ctx) {
   LOB_TRACE_SPAN(sys_->disk(), "seg.merge");
-  std::string content(a.bytes + b.bytes, '\0');
+  StagedBytes content(a.bytes + b.bytes);
   LOB_RETURN_IF_ERROR(ReadLeaf(a, 0, a.bytes, content.data()));
   LOB_RETURN_IF_ERROR(ReadLeaf(b, 0, b.bytes, content.data() + a.bytes));
   auto np = WriteNewSegment(content, ctx);
@@ -611,10 +612,11 @@ Status EosManager::Replace(ObjectId id, uint64_t offset,
         std::min<uint64_t>(leaf->bytes - local, data.size() - done);
     if (sys_->config().shadowing) {
       // Whole-segment shadow (paper 3.3).
-      std::string content(leaf->bytes, '\0');
-      LOB_RETURN_IF_ERROR(ReadLeaf(*leaf, 0, leaf->bytes, content.data()));
-      content.replace(local, take, data.substr(done, take));
-      auto np = WriteNewSegment(content, &ctx);
+      auto content =
+          StageSplice(sys_->pool(), leaf_area_id(), leaf->page, leaf->bytes,
+                      local, take, data.substr(done, take));
+      if (!content.ok()) return content.status();
+      auto np = WriteNewSegment(*content, &ctx);
       if (!np.ok()) return np.status();
       LOB_RETURN_IF_ERROR(
           tree_->UpdateLeaf(id, leaf->start, 0, np->first_page(), &ctx));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "buffer/staged_bytes.h"
 #include "common/logging.h"
 #include "trace/trace_span.h"
 #include "common/math_util.h"
@@ -168,14 +169,16 @@ Status EsmManager::AppendWithRedistribution(
   sizes.erase(sizes.begin(), sizes.begin() + static_cast<long>(skip));
 
   // Gather the bytes being redistributed: surviving participants + data.
-  std::string content;
-  content.reserve(total);
+  uint64_t gathered = data.size();
+  for (const auto& p : parts) gathered += p.bytes;
+  StagedBytes content(gathered);
+  uint64_t at = 0;
   for (const auto& p : parts) {
-    const size_t at = content.size();
-    content.resize(at + p.bytes);
-    LOB_RETURN_IF_ERROR(ReadLeaf(p.page, p.bytes, 0, p.bytes, &content[at]));
+    LOB_RETURN_IF_ERROR(
+        ReadLeaf(p.page, p.bytes, 0, p.bytes, content.data() + at));
+    at += p.bytes;
   }
-  content.append(data);
+  std::memcpy(content.data() + at, data.data(), data.size());
 
   // Drop the participants from the tree and free their segments
   // (shadowing: rewritten leaves move to fresh segments).
@@ -284,11 +287,10 @@ Status EsmManager::Insert(ObjectId id, uint64_t offset,
 
   if (leaf->bytes + data.size() <= cap) {
     // Fits in the leaf: shadowed rewrite with the bytes spliced in.
-    std::string content(leaf->bytes, '\0');
-    LOB_RETURN_IF_ERROR(
-        ReadLeaf(leaf->page, leaf->bytes, 0, leaf->bytes, content.data()));
-    content.insert(local, data.data(), data.size());
-    LOB_RETURN_IF_ERROR(RewriteLeaf(id, *leaf, content, &ctx));
+    auto content = StageSplice(sys_->pool(), leaf_area_id(), leaf->page,
+                               leaf->bytes, local, 0, data);
+    if (!content.ok()) return content.status();
+    LOB_RETURN_IF_ERROR(RewriteLeaf(id, *leaf, *content, &ctx));
     return ctx.Finish();
   }
 
@@ -310,22 +312,20 @@ Status EsmManager::Insert(ObjectId id, uint64_t offset,
     }
     if (nb != nullptr) {
       const bool nb_is_left = nb->start < leaf->start;
-      std::string content;
-      content.reserve(combined + nb->bytes);
-      auto read_whole = [&](const PositionalTree::LeafInfo& l) -> Status {
-        const size_t at = content.size();
-        content.resize(at + l.bytes);
-        return ReadLeaf(l.page, l.bytes, 0, l.bytes, &content[at]);
-      };
-      if (nb_is_left) LOB_RETURN_IF_ERROR(read_whole(*nb));
-      {
-        const size_t at = content.size();
-        content.resize(at + leaf->bytes);
+      // [left neighbor] leaf with the data spliced in [right neighbor]
+      StagedBytes content(combined + nb->bytes);
+      char* const at = content.data() + (nb_is_left ? nb->bytes : 0);
+      if (nb_is_left) {
         LOB_RETURN_IF_ERROR(
-            ReadLeaf(leaf->page, leaf->bytes, 0, leaf->bytes, &content[at]));
-        content.insert(at + local, data.data(), data.size());
+            ReadLeaf(nb->page, nb->bytes, 0, nb->bytes, content.data()));
       }
-      if (!nb_is_left) LOB_RETURN_IF_ERROR(read_whole(*nb));
+      LOB_RETURN_IF_ERROR(
+          ReadLeaf(leaf->page, leaf->bytes, 0, leaf->bytes, at));
+      SpliceInPlace(at, leaf->bytes, local, 0, data);
+      if (!nb_is_left) {
+        LOB_RETURN_IF_ERROR(
+            ReadLeaf(nb->page, nb->bytes, 0, nb->bytes, at + combined));
+      }
 
       const uint64_t base = std::min(nb->start, leaf->start);
       const uint64_t left_sz = (content.size() + 1) / 2;
@@ -356,17 +356,16 @@ Status EsmManager::Insert(ObjectId id, uint64_t offset,
 
   // Basic algorithm: spread the leaf's bytes plus the new bytes evenly
   // over ceil(total/cap) fresh leaves.
-  std::string content(leaf->bytes, '\0');
-  LOB_RETURN_IF_ERROR(
-      ReadLeaf(leaf->page, leaf->bytes, 0, leaf->bytes, content.data()));
-  content.insert(local, data.data(), data.size());
+  auto content = StageSplice(sys_->pool(), leaf_area_id(), leaf->page,
+                             leaf->bytes, local, 0, data);
+  if (!content.ok()) return content.status();
   auto removed = tree_->RemoveLeaf(id, leaf->start, &ctx);
   if (!removed.ok()) return removed.status();
   LOB_RETURN_IF_ERROR(FreeLeaf(removed->page));
   uint64_t at = leaf->start;
   uint64_t src = 0;
-  for (uint64_t sz : DistributeEven(content.size(), cap)) {
-    auto ext = WriteNewLeaf(std::string_view(content).substr(src, sz), &ctx);
+  for (uint64_t sz : DistributeEven(content->size(), cap)) {
+    auto ext = WriteNewLeaf(std::string_view(*content).substr(src, sz), &ctx);
     if (!ext.ok()) return ext.status();
     LOB_RETURN_IF_ERROR(tree_->InsertLeaf(
         id, at, {static_cast<uint32_t>(sz), ext->first_page()}, &ctx));
@@ -396,11 +395,10 @@ Status EsmManager::Delete(ObjectId id, uint64_t offset, uint64_t n) {
       if (!removed.ok()) return removed.status();
       LOB_RETURN_IF_ERROR(FreeLeaf(removed->page));
     } else {
-      std::string content(leaf->bytes, '\0');
-      LOB_RETURN_IF_ERROR(
-          ReadLeaf(leaf->page, leaf->bytes, 0, leaf->bytes, content.data()));
-      content.erase(local, take);
-      LOB_RETURN_IF_ERROR(RewriteLeaf(id, *leaf, content, &ctx));
+      auto content = StageSplice(sys_->pool(), leaf_area_id(), leaf->page,
+                                 leaf->bytes, local, take, {});
+      if (!content.ok()) return content.status();
+      LOB_RETURN_IF_ERROR(RewriteLeaf(id, *leaf, *content, &ctx));
     }
     remaining -= take;
   }
@@ -442,7 +440,7 @@ Status EsmManager::FixupUnderflow(ObjectId id, uint64_t offset,
         sib->start < cand.start ? *sib : cand;
     const PositionalTree::LeafInfo& b =
         sib->start < cand.start ? cand : *sib;
-    std::string content(a.bytes + b.bytes, '\0');
+    StagedBytes content(a.bytes + b.bytes);
     LOB_RETURN_IF_ERROR(ReadLeaf(a.page, a.bytes, 0, a.bytes, content.data()));
     LOB_RETURN_IF_ERROR(
         ReadLeaf(b.page, b.bytes, 0, b.bytes, content.data() + a.bytes));
@@ -501,11 +499,11 @@ Status EsmManager::Replace(ObjectId id, uint64_t offset,
     const uint64_t take =
         std::min<uint64_t>(leaf->bytes - local, data.size() - done);
     if (sys_->config().shadowing) {
-      std::string content(leaf->bytes, '\0');
-      LOB_RETURN_IF_ERROR(
-          ReadLeaf(leaf->page, leaf->bytes, 0, leaf->bytes, content.data()));
-      content.replace(local, take, data.substr(done, take));
-      LOB_RETURN_IF_ERROR(RewriteLeaf(id, *leaf, content, &ctx));
+      auto content =
+          StageSplice(sys_->pool(), leaf_area_id(), leaf->page, leaf->bytes,
+                      local, take, data.substr(done, take));
+      if (!content.ok()) return content.status();
+      LOB_RETURN_IF_ERROR(RewriteLeaf(id, *leaf, *content, &ctx));
     } else {
       LOB_RETURN_IF_ERROR(sys_->pool()->WriteSegmentRange(
           leaf_area_id(), leaf->page, leaf->bytes, local, take,

@@ -139,8 +139,10 @@ char* SimDisk::PageData(Area& area, PageId page, bool create) {
   auto& slot = area.pages[page];
   if (slot == nullptr) {
     if (!create) return nullptr;
-    slot = std::make_unique<char[]>(config_.page_size);
-    std::memset(slot.get(), 0, config_.page_size);
+    // Left uninitialised: the only creating caller, WriteRun, writes every
+    // byte of the image before anything can read it (a borrowed self-view
+    // source names an image that already exists, never a new one).
+    slot = std::make_unique_for_overwrite<char[]>(config_.page_size);
   }
   return slot.get();
 }

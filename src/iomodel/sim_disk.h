@@ -206,7 +206,8 @@ class SimDisk {
 
  private:
   struct Area {
-    // Lazily allocated page images; a null entry reads as zeros.
+    // Lazily allocated page images; a null entry reads as zeros. An image
+    // is created by the WriteRun that fills it, never zeroed in advance.
     std::vector<std::unique_ptr<char[]>> pages;
   };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "buffer/staged_bytes.h"
 #include "common/logging.h"
 #include "trace/trace_span.h"
 #include "common/math_util.h"
@@ -213,10 +214,11 @@ Status StarburstManager::AppendLocked(ObjectId id, Descriptor* d,
     if (d->last_alloc_pages != PatternPages(d->first_pages, last_idx)) {
       auto map = MapSegments(*d);
       const SegInfo& last = map.back();
-      std::string tail(last.bytes, '\0');
+      StagedBytes tail(last.bytes + data.size() - pos);
       LOB_RETURN_IF_ERROR(ReadRange(map, last.start, last.bytes,
                                     tail.data()));
-      tail.append(data.substr(pos));
+      std::memcpy(tail.data() + last.bytes, data.data() + pos,
+                  data.size() - pos);
       to_free->push_back(Segment{last.page, last.alloc});
       d->ptrs.pop_back();
       d->used_bytes -= static_cast<uint32_t>(last.bytes);
@@ -366,19 +368,19 @@ Status StarburstManager::SpliceBytes(ObjectId id, uint64_t offset,
   const uint64_t size = d->used_bytes;
 
   // Assemble the new tail through copy-buffer-sized reads.
-  std::string tail;
-  tail.reserve(size - prefix - deleted + inserted.size());
+  StagedBytes tail(size - prefix - deleted + inserted.size());
   if (offset > prefix) {
-    const size_t at = tail.size();
-    tail.resize(at + (offset - prefix));
-    LOB_RETURN_IF_ERROR(ReadRange(map, prefix, offset - prefix, &tail[at]));
+    LOB_RETURN_IF_ERROR(
+        ReadRange(map, prefix, offset - prefix, tail.data()));
   }
-  tail.append(inserted);
+  const uint64_t ins_at = offset - prefix;
+  if (!inserted.empty()) {
+    std::memcpy(tail.data() + ins_at, inserted.data(), inserted.size());
+  }
   if (offset + deleted < size) {
-    const size_t at = tail.size();
-    tail.resize(at + (size - offset - deleted));
     LOB_RETURN_IF_ERROR(ReadRange(map, offset + deleted,
-                                  size - offset - deleted, &tail[at]));
+                                  size - offset - deleted,
+                                  tail.data() + ins_at + inserted.size()));
   }
   // Build the new tail first; the old segments stay allocated (and
   // referenced by the on-disk descriptor) until Save() commits, so a fault
@@ -439,21 +441,21 @@ Status StarburstManager::Replace(ObjectId id, uint64_t offset,
       // segment stays live until the descriptor commits below — a fault
       // while shadowing a later segment must leave every earlier old
       // segment intact, since the on-disk descriptor still points there.
-      std::string content(seg.bytes, '\0');
-      LOB_RETURN_IF_ERROR(sys_->pool()->ReadSegmentRange(
-          leaf_area_id(), seg.page, seg.bytes, 0, seg.bytes, content.data()));
-      content.replace(local, take, data.substr(done, take));
+      auto content =
+          StageSplice(sys_->pool(), leaf_area_id(), seg.page, seg.bytes, local,
+                      take, data.substr(done, take));
+      if (!content.ok()) return content.status();
       auto ns =
           ScopedExtent::Allocate(sys_->leaf_area(), sys_->pool(), seg.alloc);
       if (!ns.ok()) return ns.status();
       const uint64_t P2 = page_size();
       uint64_t part = 0;
-      while (part < content.size()) {
+      while (part < content->size()) {
         const uint64_t chunk = std::min<uint64_t>(
-            content.size() - part, sys_->config().copy_buffer_bytes);
+            content->size() - part, sys_->config().copy_buffer_bytes);
         LOB_RETURN_IF_ERROR(sys_->pool()->WriteFreshSegment(
             leaf_area_id(), ns->first_page() + static_cast<PageId>(part / P2),
-            content.data() + part, chunk));
+            content->data() + part, chunk));
         part += chunk;
       }
       to_free.push_back(Segment{seg.page, seg.alloc});

@@ -6,11 +6,15 @@
 #   - on stderr of the --progress run, "campaign: k/N cells" lines with
 #     one N, where each k in 1..N appears exactly once (the workers share
 #     one atomic count, so lines may come out of order), and N equal to
-#     the cell count of the summary line. The plain run prints none.
-# Usage: campaign_smoke_test.sh <lob_campaign binary>
+#     the cell count of the summary line. The plain run prints none;
+#   - a "[lob:warn]" line that names its source as src/..., not by the
+#     absolute path of the checkout (the build maps the source directory
+#     away), so two checkouts of one commit print the same stderr.
+# Usage: campaign_smoke_test.sh <lob_campaign binary> <source directory>
 set -euo pipefail
 
 CAMPAIGN="$1"
+SOURCE_DIR="$2"
 
 fail() {
   echo "FAIL: $1" >&2
@@ -29,8 +33,8 @@ trap 'rm -rf "$tmpdir"' EXIT
 cmp "$tmpdir/plain.csv" "$tmpdir/progress.csv" \
   || fail "--progress changed stdout"
 
-python3 - "$tmpdir/plain.err" "$tmpdir/progress.err" <<'PYEOF'
-import re, sys
+python3 - "$tmpdir/plain.err" "$tmpdir/progress.err" "$SOURCE_DIR" <<'PYEOF'
+import os, re, sys
 
 PROGRESS = re.compile(r"campaign: (\d+)/(\d+) cells")
 SUMMARY = re.compile(r"campaign: (\d+) cells \|")
@@ -57,6 +61,16 @@ summary = [SUMMARY.match(l) for l in err]
 cells = [int(m.group(1)) for m in summary if m]
 assert cells == [n], "summary cell count %s, progress N %d" % (cells, n)
 print("progress: %d cells, each count printed once" % n)
+
+source_dirs = {sys.argv[3].rstrip("/"), os.path.realpath(sys.argv[3])}
+warns = [l for l in lines(sys.argv[1]) if l.startswith("[lob:warn] ")]
+assert warns, "no [lob:warn] line on stderr"
+for w in warns:
+    assert w.startswith("[lob:warn] src/"), "warn line names no src/: " + w
+    for d in source_dirs:
+        assert d not in w, "warn line names the source dir: " + w
+print("warn lines: %d, each naming src/ relative to the checkout"
+      % len(warns))
 PYEOF
 
-echo "PASS: campaign smoke clean, --progress counts exact"
+echo "PASS: campaign smoke clean, --progress counts exact, warn paths relative"

@@ -86,6 +86,53 @@ TEST(SimDiskZeroCopy, WriteRunGatherZeroFillAndSelfView) {
   EXPECT_EQ(disk.PeekPage(a, 1)[0], 'q');
 }
 
+// WriteRun creates a page image uninitialised and must then write every
+// byte of it. A first disk fills its images with 0xA5 and is destroyed, so
+// the heap chunks the second disk's images reuse hold garbage: a byte the
+// first write missed reads back as garbage instead of the written byte.
+TEST(SimDiskZeroCopy, FreshImageHoldsExactlyItsFirstWrite) {
+  StorageConfig cfg;
+  const size_t P = cfg.page_size;
+  constexpr uint32_t kPages = 24;
+  {
+    SimDisk dirty(cfg);
+    const AreaId a = dirty.CreateArea();
+    const std::vector<char> junk(kPages * P, static_cast<char>(0xA5));
+    ASSERT_TRUE(WritePages(&dirty, a, 0, kPages, junk.data()).ok());
+  }
+  SimDisk disk(cfg);
+  const AreaId a = disk.CreateArea();
+  // Page p of `data` holds 'a' + (p + j) % 26 at byte j: never 0, never
+  // 0xA5.
+  std::vector<char> data(kPages * P);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>('a' + (i / P + i % P) % 26);
+  }
+  std::vector<const char*> srcs(kPages);
+  // Pages 0-7: data sources; 8-15: null sources; 16-23: a gather mixing
+  // both (even pages data, odd pages null). Each run is one WriteRun on
+  // pages never written before.
+  for (uint32_t p = 0; p < kPages; ++p) {
+    const bool zero = (p >= 8 && p < 16) || (p >= 16 && p % 2 == 1);
+    srcs[p] = zero ? nullptr : data.data() + p * P;
+  }
+  ASSERT_TRUE(disk.WriteRun(a, 0, 8, srcs.data()).ok());
+  ASSERT_TRUE(disk.WriteRun(a, 8, 8, srcs.data() + 8).ok());
+  ASSERT_TRUE(disk.WriteRun(a, 16, 8, srcs.data() + 16).ok());
+  for (uint32_t p = 0; p < kPages; ++p) {
+    const char* img = disk.PeekPage(a, p);
+    ASSERT_NE(img, nullptr) << "page " << p;
+    size_t wrong = 0;
+    for (size_t j = 0; j < P; ++j) {
+      const char want = srcs[p] == nullptr ? '\0' : srcs[p][j];
+      if (img[j] != want) ++wrong;
+    }
+    EXPECT_EQ(wrong, 0u) << "page " << p << " ("
+                         << (srcs[p] == nullptr ? "null" : "data")
+                         << " source)";
+  }
+}
+
 TEST(SimDiskZeroCopy, FaultsFireOnRunCallsWithSameCountdown) {
   // after_calls == 2: exactly two matching calls succeed, the third
   // fails — where a run of N pages is ONE call, exactly as Read/Write.

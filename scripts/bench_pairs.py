@@ -19,14 +19,20 @@ uses the metric's ``better`` and ``bound``:
   unresolved  otherwise: the gap is wider than the parent's spread but
               not a win, or the spread itself is wider than the bound.
 
+The exact metrics (EXACT below) are modeled, not timed: a seed fixes
+them, so the two sides of a pair, which share a seed, must print the same
+value. They are compared pair by pair instead, and are either
+``unchanged`` (equal in every pair) or ``changed``.
+
 Usage (from anywhere; each checkout builds its own .bench_build/):
 
   scripts/bench_pairs.py --parent DIR --change DIR --workload W
                          [--pairs 10] [--seconds 20] [--save FILE]
   scripts/bench_pairs.py --load FILE     # verdicts of saved runs
 
-Exit codes: 0 no metric worse, 1 a metric worse or an op failed,
-2 missing or unparseable input, or a run that gave no result.
+Exit codes: 0 no metric worse or changed, 1 a metric worse, an exact
+metric changed or an op failed, 2 missing or unparseable input, or a run
+that gave no result.
 """
 
 import argparse
@@ -39,6 +45,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 9001)
+# End-to-end metrics that a seed fixes (lobbench's "exact" block).
+EXACT = ("modeled_read_ms", "modeled_write_ms", "space_amp")
 # Share of pairs the change must win for "improved" (9 of 10).
 WIN_SHARE = 0.9
 
@@ -107,7 +115,9 @@ def verdict(spec, parent, change):
     iqr = p3 - p1
     spread = iqr / abs(pm) if pm != 0 else 0.0
     need = math.ceil(WIN_SHARE * len(parent))
-    if wins >= need and gain > iqr:
+    if spec["name"] in EXACT:
+        v = "unchanged" if parent == change else "changed"
+    elif wins >= need and gain > iqr:
         v = "improved"
     elif (rel if lower else -rel) > spec["bound"]:
         v = "worse"
@@ -143,7 +153,7 @@ def report(runs, specs):
         print(f"{name:18s} {fmt(r['parent']):>34s} {fmt(r['change']):>34s} "
               f"{r['rel'] * 100:+7.1f}% {r['wins']:>3d}/{len(pairs):<2d}  "
               f"{r['verdict']}")
-        if r["verdict"] == "worse":
+        if r["verdict"] in ("worse", "changed"):
             code = 1
     for side in ("parent", "change"):
         attempted = sum(p[side]["attempted"] for p in pairs)
@@ -163,15 +173,13 @@ def main():
     ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--save", help="write the runs to this JSON file")
     ap.add_argument("--load", help="report on runs saved by --save")
-    ap.add_argument("--benchmark", default=str(ROOT / "BENCHMARK.json"),
-                    help="metric specs (default: the repo's BENCHMARK.json)")
     args = ap.parse_args()
     if not args.load and not (args.parent and args.change and args.workload):
         ap.error("give --parent, --change and --workload, or --load")
     if args.pairs < 1 or args.seconds < 1:
         ap.error("--pairs and --seconds must be >= 1")
     try:
-        with open(args.benchmark) as f:
+        with open(ROOT / "BENCHMARK.json") as f:
             specs = json.load(f)["end_to_end"]
         if args.load:
             with open(args.load) as f:

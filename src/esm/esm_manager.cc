@@ -163,15 +163,14 @@ Status EsmManager::AppendWithRedistribution(
   size_t skip = 0;
   while (skip < parts.size() && skip < sizes.size() &&
          sizes[skip] == parts[skip].bytes) {
+    total -= parts[skip].bytes;
     ++skip;
   }
   parts.erase(parts.begin(), parts.begin() + static_cast<long>(skip));
   sizes.erase(sizes.begin(), sizes.begin() + static_cast<long>(skip));
 
   // Gather the bytes being redistributed: surviving participants + data.
-  uint64_t gathered = data.size();
-  for (const auto& p : parts) gathered += p.bytes;
-  StagedBytes content(gathered);
+  StagedBytes content(total);
   uint64_t at = 0;
   for (const auto& p : parts) {
     LOB_RETURN_IF_ERROR(

@@ -2,10 +2,10 @@
 # Verdicts of the pair protocol, scripts/bench_pairs.py, on canned runs
 # (--load), so no benchmark runs: one metric per verdict and per edge of
 # the "improved" rule (9 of 10 pairs won and a median gap wider than the
-# parent's interquartile range), a spread wider than the bound, failed
-# ops, and unparseable input.
-# Exit codes: 0 no metric worse, 1 a metric worse or an op failed,
-# 2 missing or unparseable input.
+# parent's interquartile range), a spread wider than the bound, an exact
+# metric that moves in one pair only, failed ops, and unparseable input.
+# Exit codes: 0 no metric worse or changed, 1 a metric worse, an exact
+# metric changed or an op failed, 2 missing or unparseable input.
 # Usage: bench_pairs_test.sh <python3> <bench_pairs.py>
 set -euo pipefail
 PY="$1"
@@ -17,8 +17,9 @@ fail() { echo "bench_pairs_test: FAIL: $1"; exit 1; }
 
 # mixed.json: ten pairs, every end-to-end metric with its own story.
 # same.json: both sides identical. wide.json: the same, but ops_per_s
-# spreads wider than its bound. failed.json: same, but the change failed
-# 3 ops.
+# spreads wider than its bound. drift.json: same, but the change's
+# modeled_read_ms is 1% higher in one pair, well inside the parent's
+# spread across seeds. failed.json: same, but the change failed 3 ops.
 "$PY" - "$DIR" <<'EOF'
 import json, sys
 
@@ -79,6 +80,10 @@ write("mixed", runs(parent, change))
 write("same", runs(parent, parent))
 wide = dict(parent, ops_per_s=series(50, 10))  # IQR 45 around 95: 47%
 write("wide", runs(wide, wide))
+drift = dict(parent, modeled_read_ms=[207.5, 216.8] * (N // 2))
+drifted = dict(drift, modeled_read_ms=list(drift["modeled_read_ms"]))
+drifted["modeled_read_ms"][4] *= 1.01
+write("drift", runs(drift, drifted))
 write("failed", runs(parent, parent, change_failed=3))
 EOF
 printf '{"workload": "doc_edit", "pairs": [' > "$DIR/torn.json"
@@ -119,6 +124,11 @@ echo "ok: identical sides, every metric unchanged (exit 0)"
 run wide 0
 verdict ops_per_s unresolved
 verdict read_p50_us unchanged
+
+run drift 1
+verdict modeled_read_ms changed
+verdict modeled_write_ms unchanged
+verdict space_amp unchanged
 
 run failed 1
 grep -q "^change: 30 of 10000 ops failed" "$DIR/out.txt" \

@@ -4,9 +4,12 @@
 Runs ``perfbench/run.py --workload W`` in two source checkouts, one pair
 of runs at a time. Pair i uses seed 1 (even i) or 9001 (odd i), and the
 side that runs first alternates every two pairs, so each order meets each
-seed. For every end-to-end metric in BENCHMARK.json it prints each side's
-median and quartiles, how many pairs the change won, and a verdict that
-uses the metric's ``better`` and ``bound``:
+seed. ``--workload`` takes one workload, a comma list (run in that order)
+or ``all`` (every workload, in BENCHMARK.json order); each workload gets
+the whole protocol in turn and its own table. For every end-to-end metric
+in BENCHMARK.json the table gives each side's median and quartiles, how
+many pairs the change won, and a verdict that uses the metric's
+``better`` and ``bound``:
 
   improved    the change wins at least 9 in 10 pairs, and the medians
               differ in its favour by more than the parent's
@@ -26,13 +29,16 @@ value. They are compared pair by pair instead, and are either
 
 Usage (from anywhere; each checkout builds its own .bench_build/):
 
-  scripts/bench_pairs.py --parent DIR --change DIR --workload W
-                         [--pairs 10] [--seconds 20] [--save FILE]
-  scripts/bench_pairs.py --load FILE     # verdicts of saved runs
+  scripts/bench_pairs.py --parent DIR --change DIR --workload W[,W...]|all
+                         [--pairs 10] [--seconds 20] [--save DIR]
+  scripts/bench_pairs.py --load FILE [FILE...]   # verdicts of saved runs
 
-Exit codes: 0 no metric worse or changed, 1 a metric worse, an exact
-metric changed or an op failed, 2 missing or unparseable input, or a run
-that gave no result.
+``--save DIR`` keeps one file per workload, DIR/<workload>.json, rewritten
+after every pair; ``--load`` prints one table per file given.
+
+Exit codes, the worst over the workloads: 0 no metric worse or changed,
+1 a metric worse, an exact metric changed or an op failed, 2 missing or
+unparseable input, or a run that gave no result.
 """
 
 import argparse
@@ -70,9 +76,14 @@ def run_once(checkout, workload, seed, seconds):
     return metrics, res["attempted"], res["failed"]
 
 
-def run_pairs(args):
-    pairs = []
+def run_pairs(args, workload):
+    """The pair protocol on one workload; returns its runs."""
+    runs = {"workload": workload, "seconds": args.seconds, "pairs": []}
     sides = {"parent": args.parent, "change": args.change}
+    save = None
+    if args.save:
+        Path(args.save).mkdir(parents=True, exist_ok=True)
+        save = Path(args.save) / f"{workload}.json"
     for i in range(args.pairs):
         seed = SEEDS[i % 2]
         order = ("parent", "change") if (i // 2) % 2 == 0 else \
@@ -80,19 +91,31 @@ def run_pairs(args):
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             metrics, attempted, failed = run_once(
-                sides[side], args.workload, seed, args.seconds)
+                sides[side], workload, seed, args.seconds)
             pair[side] = {"metrics": metrics, "attempted": attempted,
                           "failed": failed}
-        pairs.append(pair)
-        if args.save:  # after every pair: an interrupted set keeps its pairs
-            with open(args.save, "w") as f:
-                json.dump({"workload": args.workload,
-                           "seconds": args.seconds, "pairs": pairs}, f,
-                          indent=1)
-        print(f"pair {i + 1}/{args.pairs} done (seed {seed}, "
+        runs["pairs"].append(pair)
+        if save:  # after every pair: an interrupted set keeps its pairs
+            with open(save, "w") as f:
+                json.dump(runs, f, indent=1)
+        print(f"{workload}: pair {i + 1}/{args.pairs} done (seed {seed}, "
               f"{order[0]} first)", file=sys.stderr, flush=True)
-    return {"workload": args.workload, "seconds": args.seconds,
-            "pairs": pairs}
+    return runs
+
+
+def load_runs(path):
+    with open(path) as f:
+        return json.load(f)
+
+
+def workloads_of(arg, known):
+    """The workloads `--workload` names, in run order; None if invalid."""
+    if arg == "all":
+        return list(known)
+    names = arg.split(",")
+    if any(n not in known for n in names) or len(set(names)) != len(names):
+        return None
+    return names
 
 
 def quartiles(values):
@@ -164,15 +187,28 @@ def report(runs, specs):
     return code
 
 
+def report_one(get_runs, specs):
+    """Gets one workload's runs and prints its table; returns the exit code."""
+    try:
+        return report(get_runs(), specs)
+    except (InputError, OSError, json.JSONDecodeError, KeyError,
+            TypeError) as e:
+        print(f"bench_pairs: {e}", file=sys.stderr)
+        return 2
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", help="parent source checkout")
     ap.add_argument("--change", help="changed source checkout")
-    ap.add_argument("--workload", help="perfbench workload")
+    ap.add_argument("--workload",
+                    help="perfbench workload, comma list of them, or all")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=20)
-    ap.add_argument("--save", help="write the runs to this JSON file")
-    ap.add_argument("--load", help="report on runs saved by --save")
+    ap.add_argument("--save", help="write each workload's runs to "
+                    "DIR/<workload>.json")
+    ap.add_argument("--load", nargs="+", metavar="FILE",
+                    help="report on runs saved by --save")
     args = ap.parse_args()
     if not args.load and not (args.parent and args.change and args.workload):
         ap.error("give --parent, --change and --workload, or --load")
@@ -180,17 +216,26 @@ def main():
         ap.error("--pairs and --seconds must be >= 1")
     try:
         with open(ROOT / "BENCHMARK.json") as f:
-            specs = json.load(f)["end_to_end"]
-        if args.load:
-            with open(args.load) as f:
-                runs = json.load(f)
-        else:
-            runs = run_pairs(args)
-        return report(runs, specs)
-    except (InputError, OSError, json.JSONDecodeError, KeyError,
-            TypeError) as e:
-        print(f"bench_pairs: {e}", file=sys.stderr)
+            bench = json.load(f)
+        specs = bench["end_to_end"]
+        known = [w["name"] for w in bench["workloads"]]
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
+        print(f"bench_pairs: BENCHMARK.json: {e}", file=sys.stderr)
         return 2
+    if args.load:
+        jobs = [lambda path=path: load_runs(path) for path in args.load]
+    else:
+        workloads = workloads_of(args.workload, known)
+        if workloads is None:
+            ap.error(f"--workload {args.workload}: give all or distinct "
+                     f"names from {', '.join(known)}")
+        jobs = [lambda w=w: run_pairs(args, w) for w in workloads]
+    code = 0
+    for i, job in enumerate(jobs):
+        if i:
+            print()
+        code = max(code, report_one(job, specs))
+    return code
 
 
 if __name__ == "__main__":

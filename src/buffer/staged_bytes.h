@@ -7,6 +7,11 @@
 // the bytes after the edit point (memmove) and copies the new ones in
 // (memcpy). Nothing is zero-filled in advance and nothing is reallocated,
 // so each staged byte is written exactly once by the read or the splice.
+// An ESM append that no old leaf joins stages nothing: its new leaves are
+// written straight from the caller's buffer.
+//
+// Reads take the same care with the caller's string: FillRead grows it
+// without zero-filling and lets the pool copy each byte in once.
 
 #ifndef LOB_BUFFER_STAGED_BYTES_H_
 #define LOB_BUFFER_STAGED_BYTES_H_
@@ -14,6 +19,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <string_view>
 
 #include "buffer/buffer_pool.h"
@@ -73,6 +79,22 @@ inline uint64_t SpliceInPlace(char* buf, uint64_t bytes, uint64_t at,
       pool->ReadSegmentRange(area, seg_first, bytes, 0, bytes, out.data()));
   out.Truncate(SpliceInPlace(out.data(), bytes, at, erase, ins));
   return out;
+}
+
+/// Sets *out to the `n` bytes that `fill(dst)` writes to dst[0, n), the
+/// way every engine's Read fills the caller's string. The old bytes are
+/// dropped first, so a string that must grow copies none of them, and the
+/// new ones are not zeroed before `fill` writes them. On failure *out is
+/// empty.
+template <typename Fill>
+[[nodiscard]] Status FillRead(std::string* out, uint64_t n, Fill&& fill) {
+  out->clear();
+  Status status;
+  out->resize_and_overwrite(n, [&](char* dst, size_t) {
+    status = fill(dst);
+    return status.ok() ? n : 0;
+  });
+  return status;
 }
 
 }  // namespace lob

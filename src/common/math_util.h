@@ -13,6 +13,12 @@ namespace lob {
 /// ceil(a / b) for non-negative a, positive b.
 constexpr uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
 
+/// True iff the byte range [offset, offset + n) lies within [0, size).
+/// Unlike `offset + n <= size`, the test cannot wrap past 2^64.
+constexpr bool RangeWithin(uint64_t offset, uint64_t n, uint64_t size) {
+  return offset <= size && n <= size - offset;
+}
+
 /// True iff `x` is a power of two (0 is not).
 constexpr bool IsPowerOfTwo(uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
 

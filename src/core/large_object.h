@@ -64,7 +64,9 @@ class LargeObjectManager {
   /// Logical size in bytes.
   [[nodiscard]] virtual StatusOr<uint64_t> Size(ObjectId id) = 0;
 
-  /// Reads `n` bytes at `offset` into `out` (resized to `n`).
+  /// Reads `n` bytes at `offset` into `out`. On success *out holds exactly
+  /// those `n` bytes, whatever it held before; on any failure it is empty.
+  /// A range that does not lie within the object is OutOfRange.
   [[nodiscard]] virtual Status Read(ObjectId id, uint64_t offset, uint64_t n,
                       std::string* out) = 0;
 
@@ -75,12 +77,14 @@ class LargeObjectManager {
   [[nodiscard]] virtual Status Insert(ObjectId id, uint64_t offset,
                         std::string_view data) = 0;
 
-  /// Deletes `n` bytes starting at `offset`.
+  /// Deletes `n` bytes starting at `offset`. A range that does not lie
+  /// within the object is OutOfRange, and the object is left unchanged.
   [[nodiscard]]
   virtual Status Delete(ObjectId id, uint64_t offset, uint64_t n) = 0;
 
   /// Overwrites bytes [offset, offset + data.size()) without changing the
-  /// object length.
+  /// object length. A range that does not lie within the object is
+  /// OutOfRange, and the object is left unchanged.
   [[nodiscard]] virtual Status Replace(ObjectId id, uint64_t offset,
                          std::string_view data) = 0;
 

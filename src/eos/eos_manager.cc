@@ -84,20 +84,24 @@ Status EosManager::Destroy(ObjectId id) {
 Status EosManager::Read(ObjectId id, uint64_t offset, uint64_t n,
                         std::string* out) {
   OpScope obs_scope(sys_->disk(), "eos.read");
+  out->clear();
   auto size = tree_->Size(id);
   if (!size.ok()) return size.status();
-  if (offset + n > *size) return Status::OutOfRange("read past object end");
-  out->resize(n);
-  uint64_t done = 0;
-  while (done < n) {
-    auto leaf = tree_->FindLeaf(id, offset + done);
-    if (!leaf.ok()) return leaf.status();
-    const uint64_t local = offset + done - leaf->start;
-    const uint64_t take = std::min<uint64_t>(leaf->bytes - local, n - done);
-    LOB_RETURN_IF_ERROR(ReadLeaf(*leaf, local, take, out->data() + done));
-    done += take;
+  if (!RangeWithin(offset, n, *size)) {
+    return Status::OutOfRange("read past object end");
   }
-  return Status::OK();
+  return FillRead(out, n, [&](char* dst) {
+    uint64_t done = 0;
+    while (done < n) {
+      auto leaf = tree_->FindLeaf(id, offset + done);
+      if (!leaf.ok()) return leaf.status();
+      const uint64_t local = offset + done - leaf->start;
+      const uint64_t take = std::min<uint64_t>(leaf->bytes - local, n - done);
+      LOB_RETURN_IF_ERROR(ReadLeaf(*leaf, local, take, dst + done));
+      done += take;
+    }
+    return Status::OK();
+  });
 }
 
 Status EosManager::Append(ObjectId id, std::string_view data) {
@@ -324,7 +328,9 @@ Status EosManager::Delete(ObjectId id, uint64_t offset, uint64_t n) {
   OpScope obs_scope(sys_->disk(), "eos.delete");
   auto size = tree_->Size(id);
   if (!size.ok()) return size.status();
-  if (offset + n > *size) return Status::OutOfRange("delete past object end");
+  if (!RangeWithin(offset, n, *size)) {
+    return Status::OutOfRange("delete past object end");
+  }
 
   OpContext ctx(sys_->pool(), sys_->arena());
   LOB_RETURN_IF_ERROR(TrimLastSlack(id, &ctx));
@@ -598,7 +604,7 @@ Status EosManager::Replace(ObjectId id, uint64_t offset,
   OpScope obs_scope(sys_->disk(), "eos.replace");
   auto size = tree_->Size(id);
   if (!size.ok()) return size.status();
-  if (offset + data.size() > *size) {
+  if (!RangeWithin(offset, data.size(), *size)) {
     return Status::OutOfRange("replace past object end");
   }
   OpContext ctx(sys_->pool(), sys_->arena());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "buffer/staged_bytes.h"
 #include "common/logging.h"
@@ -113,21 +114,25 @@ Status EsmManager::FreeLeaf(PageId page) {
 Status EsmManager::Read(ObjectId id, uint64_t offset, uint64_t n,
                         std::string* out) {
   OpScope obs_scope(sys_->disk(), "esm.read");
+  out->clear();
   auto size = tree_->Size(id);
   if (!size.ok()) return size.status();
-  if (offset + n > *size) return Status::OutOfRange("read past object end");
-  out->resize(n);
-  uint64_t done = 0;
-  while (done < n) {
-    auto leaf = tree_->FindLeaf(id, offset + done);
-    if (!leaf.ok()) return leaf.status();
-    const uint64_t local = offset + done - leaf->start;
-    const uint64_t take = std::min<uint64_t>(leaf->bytes - local, n - done);
-    LOB_RETURN_IF_ERROR(
-        ReadLeaf(leaf->page, leaf->bytes, local, take, out->data() + done));
-    done += take;
+  if (!RangeWithin(offset, n, *size)) {
+    return Status::OutOfRange("read past object end");
   }
-  return Status::OK();
+  return FillRead(out, n, [&](char* dst) {
+    uint64_t done = 0;
+    while (done < n) {
+      auto leaf = tree_->FindLeaf(id, offset + done);
+      if (!leaf.ok()) return leaf.status();
+      const uint64_t local = offset + done - leaf->start;
+      const uint64_t take = std::min<uint64_t>(leaf->bytes - local, n - done);
+      LOB_RETURN_IF_ERROR(
+          ReadLeaf(leaf->page, leaf->bytes, local, take, dst + done));
+      done += take;
+    }
+    return Status::OK();
+  });
 }
 
 Status EsmManager::AppendInPlace(ObjectId id,
@@ -169,27 +174,31 @@ Status EsmManager::AppendWithRedistribution(
   parts.erase(parts.begin(), parts.begin() + static_cast<long>(skip));
   sizes.erase(sizes.begin(), sizes.begin() + static_cast<long>(skip));
 
-  // Gather the bytes being redistributed: surviving participants + data.
-  StagedBytes content(total);
-  uint64_t at = 0;
-  for (const auto& p : parts) {
-    LOB_RETURN_IF_ERROR(
-        ReadLeaf(p.page, p.bytes, 0, p.bytes, content.data() + at));
-    at += p.bytes;
-  }
-  std::memcpy(content.data() + at, data.data(), data.size());
-
-  // Drop the participants from the tree and free their segments
-  // (shadowing: rewritten leaves move to fresh segments).
+  // The bytes being redistributed: the surviving participants, then data.
+  std::string_view content = data;
+  std::optional<StagedBytes> staged;
   uint64_t insert_at;
   if (parts.empty()) {
-    // Pure extension: new leaves go after the current end.
+    // Pure extension: new leaves go after the current end, written
+    // straight from the caller's buffer.
     auto size = tree_->Size(id);
     if (!size.ok()) return size.status();
     insert_at = *size;
   } else {
+    staged.emplace(total);
+    uint64_t at = 0;
+    for (const auto& p : parts) {
+      LOB_RETURN_IF_ERROR(
+          ReadLeaf(p.page, p.bytes, 0, p.bytes, staged->data() + at));
+      at += p.bytes;
+    }
+    std::memcpy(staged->data() + at, data.data(), data.size());
+    content = *staged;
     insert_at = parts.front().start;
   }
+
+  // Drop the participants from the tree and free their segments
+  // (shadowing: rewritten leaves move to fresh segments).
   for (const auto& p : parts) {
     auto removed = tree_->RemoveLeaf(id, insert_at, ctx);
     if (!removed.ok()) return removed.status();
@@ -202,7 +211,7 @@ Status EsmManager::AppendWithRedistribution(
   // releases the in-flight segment instead of leaking it.
   uint64_t src = 0;
   for (uint64_t sz : sizes) {
-    auto ext = WriteNewLeaf(std::string_view(content).substr(src, sz), ctx);
+    auto ext = WriteNewLeaf(content.substr(src, sz), ctx);
     if (!ext.ok()) return ext.status();
     LOB_RETURN_IF_ERROR(tree_->InsertLeaf(
         id, insert_at, {static_cast<uint32_t>(sz), ext->first_page()}, ctx));
@@ -380,7 +389,9 @@ Status EsmManager::Delete(ObjectId id, uint64_t offset, uint64_t n) {
   OpScope obs_scope(sys_->disk(), "esm.delete");
   auto size = tree_->Size(id);
   if (!size.ok()) return size.status();
-  if (offset + n > *size) return Status::OutOfRange("delete past object end");
+  if (!RangeWithin(offset, n, *size)) {
+    return Status::OutOfRange("delete past object end");
+  }
 
   OpContext ctx(sys_->pool(), sys_->arena());
   uint64_t remaining = n;
@@ -486,7 +497,7 @@ Status EsmManager::Replace(ObjectId id, uint64_t offset,
   OpScope obs_scope(sys_->disk(), "esm.replace");
   auto size = tree_->Size(id);
   if (!size.ok()) return size.status();
-  if (offset + data.size() > *size) {
+  if (!RangeWithin(offset, data.size(), *size)) {
     return Status::OutOfRange("replace past object end");
   }
   OpContext ctx(sys_->pool(), sys_->arena());

@@ -146,28 +146,30 @@ Status StarburstManager::ReadRange(const std::vector<SegInfo>& map,
 Status StarburstManager::Read(ObjectId id, uint64_t offset, uint64_t n,
                               std::string* out) {
   OpScope obs_scope(sys_->disk(), "starburst.read");
+  out->clear();
   auto d = Load(id);
   if (!d.ok()) return d.status();
-  if (offset + n > d->used_bytes) {
+  if (!RangeWithin(offset, n, d->used_bytes)) {
     return Status::OutOfRange("read past object end");
   }
-  out->resize(n);
   if (n == 0) return Status::OK();
   // User reads are not chunked by the copy buffer: read whole ranges per
   // segment (the copy buffer only stages update copying, paper 3.5).
   auto map = MapSegments(*d);
-  uint64_t done = 0;
-  for (const SegInfo& seg : map) {
-    if (done == n) break;
-    const uint64_t seg_end = seg.start + seg.bytes;
-    if (seg_end <= offset + done) continue;
-    const uint64_t local = offset + done - seg.start;
-    const uint64_t take = std::min(seg.bytes - local, n - done);
-    LOB_RETURN_IF_ERROR(sys_->pool()->ReadSegmentRange(
-        leaf_area_id(), seg.page, seg.bytes, local, take, out->data() + done));
-    done += take;
-  }
-  return Status::OK();
+  return FillRead(out, n, [&](char* dst) {
+    uint64_t done = 0;
+    for (const SegInfo& seg : map) {
+      if (done == n) break;
+      const uint64_t seg_end = seg.start + seg.bytes;
+      if (seg_end <= offset + done) continue;
+      const uint64_t local = offset + done - seg.start;
+      const uint64_t take = std::min(seg.bytes - local, n - done);
+      LOB_RETURN_IF_ERROR(sys_->pool()->ReadSegmentRange(
+          leaf_area_id(), seg.page, seg.bytes, local, take, dst + done));
+      done += take;
+    }
+    return Status::OK();
+  });
 }
 
 Status StarburstManager::AppendLocked(ObjectId id, Descriptor* d,
@@ -351,7 +353,7 @@ Status StarburstManager::SpliceBytes(ObjectId id, uint64_t offset,
   LOB_TRACE_SPAN(sys_->disk(), "sb.splice");
   auto d = Load(id);
   if (!d.ok()) return d.status();
-  if (offset + deleted > d->used_bytes) {
+  if (!RangeWithin(offset, deleted, d->used_bytes)) {
     return Status::OutOfRange("update past object end");
   }
   OpContext ctx(sys_->pool(), sys_->arena());
@@ -421,7 +423,7 @@ Status StarburstManager::Replace(ObjectId id, uint64_t offset,
   OpScope obs_scope(sys_->disk(), "starburst.replace");
   auto d = Load(id);
   if (!d.ok()) return d.status();
-  if (offset + data.size() > d->used_bytes) {
+  if (!RangeWithin(offset, data.size(), d->used_bytes)) {
     return Status::OutOfRange("replace past object end");
   }
   OpContext ctx(sys_->pool(), sys_->arena());

@@ -3,7 +3,8 @@
 # (--load), so no benchmark runs: one metric per verdict and per edge of
 # the "improved" rule (9 of 10 pairs won and a median gap wider than the
 # parent's interquartile range), a spread wider than the bound, an exact
-# metric that moves in one pair only, failed ops, and unparseable input.
+# metric that moves in one pair only, failed ops, and unparseable input;
+# then several workloads in one command, run against stub checkouts.
 # Exit codes: 0 no metric worse or changed, 1 a metric worse, an exact
 # metric changed or an op failed, 2 missing or unparseable input.
 # Usage: bench_pairs_test.sh <python3> <bench_pairs.py>
@@ -141,4 +142,88 @@ rc=0
 "$PY" "$SCRIPT" > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || fail "no arguments: exit $rc, not 2"
 echo "ok: no arguments (exit 2)"
+# Several workloads in one command. Two stub checkouts whose
+# perfbench/run.py prints a canned result (and logs each call) let the
+# protocol itself run in a fraction of a second. The change's
+# modeled_write_ms is 1 ms higher on media_stream only, so that table says
+# `changed` and the others are clean: the exit code is the worst one.
+for side in parent change; do
+  mkdir -p "$DIR/$side/perfbench"
+  cat > "$DIR/$side/perfbench/run.py" <<EOF
+import argparse, json
+ap = argparse.ArgumentParser()
+ap.add_argument("--workload")
+ap.add_argument("--seed", type=int)
+ap.add_argument("--seconds", type=int)
+a = ap.parse_args()
+with open("runs.log", "a") as f:
+    f.write(f"{a.workload} {a.seed}\n")
+m = {"ops_per_s": 1000.0, "read_p50_us": 5.0, "read_p99_us": 30.0,
+     "write_p50_us": 8.0, "write_p99_us": 60.0, "setup_s": 0.1,
+     "peak_rss_mb": 200.0, "modeled_read_ms": 200.0 + a.seed % 7,
+     "modeled_write_ms": 150.0, "space_amp": 1.25}
+if "$side" == "change" and a.workload == "media_stream":
+    m["modeled_write_ms"] += 1
+print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                  "metrics": {k: {"value": v, "unit": ""}
+                              for k, v in m.items()}}))
+EOF
+done
+pairs() {
+  "$PY" "$SCRIPT" --parent "$DIR/parent" --change "$DIR/change" --pairs 2 \
+    --seconds 1 "$@"
+}
+# workload_order <file>: the workloads of its tables, in order
+workload_order() {
+  grep '^workload ' "$1" | cut -d: -f1 | cut -d' ' -f2 | tr '\n' ' '
+}
+# changed_rows <file>: "<workload> <metric>" of every `changed` row
+changed_rows() {
+  awk '/^workload /{w = substr($2, 1, length($2) - 1)}
+       / changed$/{print w, $1}' "$1"
+}
+
+rc=0
+pairs --workload all --save "$DIR/saved" > "$DIR/all.txt" 2>/dev/null \
+  || rc=$?
+[ "$rc" -eq 1 ] || { cat "$DIR/all.txt"; fail "all: exit $rc, not 1"; }
+[ "$(workload_order "$DIR/all.txt")" = \
+  "doc_edit media_stream catalog_churn " ] \
+  || { cat "$DIR/all.txt"; fail "all: not one table per workload in order"; }
+[ "$(changed_rows "$DIR/all.txt")" = "media_stream modeled_write_ms" ] \
+  || { cat "$DIR/all.txt"; fail "all: not only media_stream changed"; }
+[ "$(cut -d' ' -f1 "$DIR/parent/runs.log" | uniq | tr '\n' ' ')" = \
+  "doc_edit media_stream catalog_churn " ] \
+  || fail "all: each workload's pairs do not run together, in order"
+echo "ok: --workload all runs every workload in order, exits with the worst"
+
+rc=0
+"$PY" "$SCRIPT" --load "$DIR/saved/doc_edit.json" \
+  "$DIR/saved/media_stream.json" "$DIR/saved/catalog_churn.json" \
+  > "$DIR/loaded.txt" 2>&1 || rc=$?
+[ "$rc" -eq 1 ] || fail "--load of three files: exit $rc, not 1"
+cmp -s "$DIR/all.txt" "$DIR/loaded.txt" \
+  || { diff "$DIR/all.txt" "$DIR/loaded.txt"; fail "--load differs"; }
+echo "ok: --save keeps one file per workload, --load reprints them"
+
+rc=0
+pairs --workload catalog_churn,doc_edit > "$DIR/two.txt" 2>/dev/null \
+  || rc=$?
+[ "$rc" -eq 0 ] || { cat "$DIR/two.txt"; fail "two clean: exit $rc, not 0"; }
+[ "$(grep -c ' unchanged$' "$DIR/two.txt")" -eq 20 ] \
+  || { cat "$DIR/two.txt"; fail "two clean: not 2 x 10 metrics unchanged"; }
+[ "$(workload_order "$DIR/two.txt")" = "catalog_churn doc_edit " ] \
+  || { cat "$DIR/two.txt"; fail "a comma list does not run in its order"; }
+echo "ok: a comma list runs its workloads in the order given (exit 0)"
+
+cp "$DIR/parent/runs.log" "$DIR/runs.before"
+for bad in doc_edit,nosuch doc_edit,doc_edit ""; do
+  rc=0
+  pairs --workload "$bad" > /dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] || fail "--workload '$bad': exit $rc, not 2"
+done
+cmp -s "$DIR/parent/runs.log" "$DIR/runs.before" \
+  || fail "a rejected --workload ran something"
+echo "ok: unknown, repeated or empty workloads are rejected (exit 2)"
+
 echo "PASS: bench_pairs verdicts"

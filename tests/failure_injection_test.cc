@@ -52,10 +52,12 @@ class FailureInjectionTest : public ::testing::TestWithParam<int> {
 
 TEST_P(FailureInjectionTest, ReadFailurePropagates) {
   sys_.disk()->ArmFault(StickyFaultAfter(0));
-  std::string out;
+  std::string out(1000, '#');  // a reused string: the failure empties it
   Status s = mgr_->Read(id_, 100000, 50000, &out);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInternal);
+  EXPECT_EQ(s.message(), FaultSpec().message);
+  EXPECT_TRUE(out.empty()) << out.size() << " bytes left in *out";
   // Clearing the fault restores full function.
   sys_.disk()->ClearFaults();
   ASSERT_TRUE(mgr_->Read(id_, 100000, 50000, &out).ok());

@@ -11,6 +11,17 @@ DB="$DIR/t.lobdb"
 
 fail() { echo "lobtool_test: FAIL: $1"; exit 1; }
 
+# expect_rc <code> <what> <command...>: the command exits with <code>.
+expect_rc() {
+  local want="$1" what="$2"
+  shift 2
+  set +e
+  "$@" >/dev/null 2>&1
+  local rc=$?
+  set -e
+  [ "$rc" -eq "$want" ] || fail "$what should exit $want (got $rc)"
+}
+
 "$LOBTOOL" "$DB" init >/dev/null || fail "init"
 "$LOBTOOL" "$DB" create doc eos 8 >/dev/null || fail "create eos"
 "$LOBTOOL" "$DB" create pic starburst >/dev/null || fail "create starburst"
@@ -83,6 +94,20 @@ grep -q '^eos.read;pool\.' "$DIR/p1.folded" || fail "profile folded has a ;pool.
 [ -s "$DIR/flame_esm.folded" ] || fail "profile --out wrote file"
 [ -s "$DIR/out.stdout" ] && fail "profile --out also wrote stdout"
 
+# A range whose end passes 2^64 is out of range on every engine: exit 1
+# and the image unchanged (the check must not wrap offset + bytes).
+"$LOBTOOL" "$DB" put idx "$DIR/b.bin" >/dev/null || fail "put esm"
+cp "$DB" "$DIR/before.lobdb"
+for obj in doc pic idx; do
+  expect_rc 1 "cat $obj past 2^64" \
+    "$LOBTOOL" "$DB" cat "$obj" 1 18446744073709551615
+  expect_rc 1 "delete $obj past 2^64" \
+    "$LOBTOOL" "$DB" delete "$obj" 1 18446744073709551615
+  cmp -s "$DB" "$DIR/before.lobdb" || fail "a range past 2^64 changed $obj"
+done
+"$LOBTOOL" "$DB" cat pic > "$DIR/b.out" || fail "cat after the range checks"
+cmp -s "$DIR/b.bin" "$DIR/b.out" || fail "pic changed by the range checks"
+
 "$LOBTOOL" "$DB" rm idx >/dev/null || fail "rm"
 "$LOBTOOL" "$DB" info | grep -q 'objects: *2' || fail "info after rm"
 
@@ -93,15 +118,6 @@ grep -q '^eos.read;pool\.' "$DIR/p1.folded" || fail "profile folded has a ;pool.
 
 # Malformed numbers are rejected, not truncated or guessed: exit 1, and
 # nothing is changed or run.
-expect_rc() {
-  local want="$1" what="$2"
-  shift 2
-  set +e
-  "$@" >/dev/null 2>&1
-  local rc=$?
-  set -e
-  [ "$rc" -eq "$want" ] || fail "$what should exit $want (got $rc)"
-}
 expect_rc 1 "create with a param above 2^32" \
   "$LOBTOOL" "$DB" create big esm 4294967297
 "$LOBTOOL" "$DB" ls | grep -q '^big ' && fail "create with a bad param created"

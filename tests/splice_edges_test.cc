@@ -6,12 +6,16 @@
 // replaces at the offsets 0, 1, P-1, P, bytes-1 and bytes of every leaf of
 // a freshly built object, plus the engine's own edge cases; after every op
 // the object must equal a std::string model, and Validate and FsckObjects
-// must be clean.
+// must be clean. An ESM append that no old leaf joins stages nothing and
+// writes its leaves straight from the caller's buffer; its table also pins
+// the leaf shape and what each append costs.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,6 +58,25 @@ struct Leaf {
   uint64_t bytes;
 };
 
+/// What one op cost: its disk calls and pages, and the pool's hits, misses
+/// and evictions.
+struct Cost {
+  uint64_t read_calls = 0;
+  uint64_t write_calls = 0;
+  uint64_t pages_read = 0;
+  uint64_t pages_written = 0;
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t evictions = 0;
+  bool operator==(const Cost&) const = default;
+};
+
+void PrintTo(const Cost& c, std::ostream* os) {
+  *os << "{" << c.read_calls << ", " << c.write_calls << ", " << c.pages_read
+      << ", " << c.pages_written << ", " << c.hits << ", " << c.misses << ", "
+      << c.evictions << "}";
+}
+
 using MakeManager = std::unique_ptr<LargeObjectManager> (*)(StorageSystem*);
 
 /// One object on its own StorageSystem, with a byte model of it.
@@ -76,6 +99,9 @@ class Subject {
 
   uint64_t size() const { return model_.size(); }
 
+  /// What the last Apply's op cost (the checks after it not included).
+  const Cost& last_cost() const { return last_cost_; }
+
   /// Leaves (segments) of the object in order.
   std::vector<Leaf> Leaves() {
     std::vector<Leaf> out;
@@ -95,6 +121,11 @@ class Subject {
                  " at " + std::to_string(off) + " of " +
                  std::to_string(size()));
     const std::string data = Pattern(off * 31 + n, n);
+    const IoStats io0 = sys_->stats();
+    const BufferPool& pool = *sys_->pool();
+    const uint64_t hits0 = pool.hits();
+    const uint64_t misses0 = pool.misses();
+    const uint64_t evictions0 = pool.evictions();
     switch (kind) {
       case Kind::kInsert:
         ASSERT_TRUE(mgr_->Insert(id_, off, data).ok());
@@ -113,6 +144,11 @@ class Subject {
         model_ += data;
         break;
     }
+    const IoStats io = IoStats::Delta(io0, sys_->stats());
+    last_cost_ = {io.read_calls,          io.write_calls,
+                  io.pages_read,          io.pages_written,
+                  pool.hits() - hits0,    pool.misses() - misses0,
+                  pool.evictions() - evictions0};
     auto got_size = mgr_->Size(id_);
     ASSERT_TRUE(got_size.ok());
     ASSERT_EQ(*got_size, model_.size());
@@ -131,6 +167,7 @@ class Subject {
   std::unique_ptr<LargeObjectManager> mgr_;
   ObjectId id_ = 0;
   std::string model_;
+  Cost last_cost_;
 };
 
 /// Every op of the table at the offsets 0, 1, P-1, P, bytes-1 and bytes
@@ -221,6 +258,100 @@ TEST(SpliceEdges, EsmLeaf4) {
     ASSERT_NO_FATAL_FAILURE(
         s.Apply(Kind::kDelete, leaf.start + 11, take, "leaf 2 below half"));
     for (const Leaf& l : s.Leaves()) EXPECT_GE(l.bytes, 2 * kP);
+  }
+}
+
+// ESM appends that no old leaf joins: every append to an empty object,
+// and one leaf's capacity appended after a full last leaf (the skip keeps
+// every old leaf). They write the new leaves straight from the caller's
+// buffer. The leaves must take the append distribution's shape (all but
+// the last two full, the rest split evenly between those two, the left one
+// taking the odd byte), and each append must cost what it cost when the
+// bytes were staged first: the disk calls and pages and the pool's hits,
+// misses and evictions below were recorded from that build.
+TEST(SpliceEdges, EsmAppendFromTheCallersBuffer) {
+  struct Case {
+    uint32_t leaf_pages;
+    uint64_t before;  // bytes in the object before the append
+    uint64_t n;       // bytes appended
+    std::vector<uint64_t> leaves;
+    Cost cost;
+  };
+  std::vector<Case> cases;
+  // Costs per leaf size, in the order of the cases built below.
+  const std::vector<std::vector<Cost>> costs = {
+      // leaf = 1: {read calls, write calls, pages read, pages written,
+      // pool hits, misses, evictions}
+      {{0, 1, 0, 1, 6, 0, 0},
+       {0, 1, 0, 1, 6, 0, 0},
+       {0, 1, 0, 1, 6, 0, 0},
+       {0, 2, 0, 2, 10, 0, 0},
+       {0, 2, 0, 2, 10, 0, 0},
+       {0, 3, 0, 3, 14, 0, 0},
+       {0, 4, 0, 4, 18, 0, 0},
+       {0, 1, 0, 1, 8, 0, 0}},
+      // leaf = 4
+      {{0, 1, 0, 1, 6, 0, 0},
+       {0, 1, 0, 4, 6, 0, 0},
+       {0, 1, 0, 4, 6, 0, 0},
+       {0, 2, 0, 5, 10, 0, 0},
+       {0, 2, 0, 8, 10, 0, 0},
+       {0, 3, 0, 9, 14, 0, 0},
+       {0, 4, 0, 14, 18, 0, 0},
+       {0, 1, 0, 4, 8, 0, 0}},
+      // leaf = 16
+      {{0, 1, 0, 1, 6, 0, 0},
+       {0, 1, 0, 16, 6, 0, 0},
+       {0, 1, 0, 16, 6, 0, 0},
+       {0, 2, 0, 17, 10, 0, 0},
+       {0, 2, 0, 32, 10, 0, 0},
+       {0, 3, 0, 33, 14, 0, 0},
+       {0, 4, 0, 50, 18, 0, 0},
+       {0, 1, 0, 16, 8, 0, 0}},
+  };
+  const uint32_t leaf_sizes[] = {1, 4, 16};
+  for (size_t li = 0; li < 3; ++li) {
+    const uint32_t lp = leaf_sizes[li];
+    const uint64_t cap = lp * kP;
+    const std::vector<std::pair<uint64_t, std::vector<uint64_t>>> empty = {
+        {1, {1}},
+        {cap - 1, {cap - 1}},
+        {cap, {cap}},
+        {cap + 1, {cap / 2 + 1, cap / 2}},
+        {2 * cap, {cap, cap}},
+        {2 * cap + 1, {cap, cap / 2 + 1, cap / 2}},
+        {3 * cap + 7, {cap, cap, cap / 2 + 4, cap / 2 + 3}},
+    };
+    for (size_t i = 0; i < empty.size(); ++i) {
+      cases.push_back({lp, 0, empty[i].first, empty[i].second,
+                       costs[li][i]});
+    }
+    cases.push_back({lp, cap, cap, {cap, cap}, costs[li][empty.size()]});
+  }
+  for (const Case& c : cases) {
+    const std::string what = "leaf=" + std::to_string(c.leaf_pages) +
+                             ", append " + std::to_string(c.n) + " to " +
+                             std::to_string(c.before) + " bytes";
+    SCOPED_TRACE(what);
+    MakeManager make = nullptr;
+    switch (c.leaf_pages) {
+      case 1:
+        make = [](StorageSystem* sys) { return CreateEsmManager(sys, 1); };
+        break;
+      case 4:
+        make = MakeEsm;
+        break;
+      default:
+        make = [](StorageSystem* sys) { return CreateEsmManager(sys, 16); };
+        break;
+    }
+    Subject s(make, c.before == 0 ? std::vector<size_t>{}
+                                  : std::vector<size_t>{c.before});
+    ASSERT_NO_FATAL_FAILURE(s.Apply(Kind::kAppend, s.size(), c.n, what));
+    std::vector<uint64_t> got;
+    for (const Leaf& l : s.Leaves()) got.push_back(l.bytes);
+    EXPECT_EQ(got, c.leaves);
+    EXPECT_EQ(s.last_cost(), c.cost);
   }
 }
 

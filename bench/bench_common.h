@@ -25,12 +25,17 @@
 //                      identical for every --jobs value.
 //   --timeline=PATH    (mix benches) write per-configuration storage-state
 //                      timelines (utilization, fragmentation histogram,
-//                      segment size distribution) as one CSV file
-//   --timeline-every=N sample cadence in ops (default: --window)
+//                      segment size distribution) as one CSV file, sampled
+//                      at every --window mark
+//
+// Any other argument (a typo, or a flag only some bench takes, such as the
+// mix figures' --csv, given to another) exits with status 2 and
+// "unknown flag --name" on stderr.
 
 #ifndef LOB_BENCH_BENCH_COMMON_H_
 #define LOB_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -38,6 +43,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -146,9 +152,12 @@ struct BenchArgs {
   std::string bench_json;
   std::string trace;           ///< merged Chrome/Perfetto JSON output path
   std::string timeline;        ///< merged timeline CSV output path
-  uint32_t timeline_every = 0; ///< sample cadence in ops (default --window)
 
-  static BenchArgs Parse(int argc, char** argv) {
+  /// Parses the flags above; `extra_switch` is one more valueless flag
+  /// the calling bench reads itself (the mix figures' "--csv").
+  static BenchArgs Parse(int argc, char** argv,
+                         std::string_view extra_switch = {}) {
+    RejectUnknownFlags(argc, argv, extra_switch);
     BenchArgs args;
     args.quick = FlagPresent(argc, argv, "quick");
     // At least 1 MB, and few enough that the byte count fits in uint64_t.
@@ -173,9 +182,29 @@ struct BenchArgs {
     args.bench_json = FlagValueString(argc, argv, "bench-json", "");
     args.trace = FlagValueString(argc, argv, "trace", "");
     args.timeline = FlagValueString(argc, argv, "timeline", "");
-    args.timeline_every =
-        FlagValue<uint32_t>(argc, argv, "timeline-every", args.window);
     return args;
+  }
+
+ private:
+  static void RejectUnknownFlags(int argc, char** argv,
+                                 std::string_view extra_switch) {
+    static constexpr std::string_view kFlags[] = {
+        "--quick", "--obs", "--object-mb=", "--ops=", "--window=",
+        "--jobs=", "--bench-json=", "--trace=", "--timeline="};
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      const bool known =
+          (!extra_switch.empty() && arg == extra_switch) ||
+          std::ranges::any_of(kFlags, [arg](std::string_view flag) {
+            return flag.ends_with('=') ? arg.starts_with(flag) : arg == flag;
+          });
+      if (!known) {
+        const std::string_view name = arg.substr(0, arg.find('='));
+        std::fprintf(stderr, "unknown flag %.*s\n",
+                     static_cast<int>(name.size()), name.data());
+        std::exit(2);
+      }
+    }
   }
 };
 

@@ -14,11 +14,7 @@ int main(int argc, char** argv) {
   const BenchArgs args = BenchArgs::Parse(argc, argv);
   PrintBanner("ext_build_scaling: build cost per MB vs object size",
               "4.2 (build cost grows linearly with object size)");
-  // At least 1 KB, and few enough that the byte count fits in uint64_t.
-  const uint64_t append_kb =
-      FlagValue<uint64_t>(argc, argv, "append-kb", 32, 1,
-                          std::numeric_limits<uint64_t>::max() >> 10);
-  const uint64_t append = append_kb << 10;
+  const uint64_t append = 32 * 1024;
   std::printf("append size: %llu KB\n\n",
               static_cast<unsigned long long>(append / 1024));
 

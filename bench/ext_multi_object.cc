@@ -88,11 +88,7 @@ int main(int argc, char** argv) {
   PrintBanner("ext_multi_object: N interleaved objects per area",
               "beyond the paper (single-object study; here allocations "
               "interleave)");
-  // Every object gets at least one 4 KB page of the --object-mb budget.
-  const uint32_t n_objects = FlagValue<uint32_t>(
-      argc, argv, "objects", 8, 1,
-      static_cast<uint32_t>(std::min<uint64_t>(
-          args.object_bytes / 4096, std::numeric_limits<uint32_t>::max())));
+  const uint32_t n_objects = 8;
   const uint64_t per_object = args.object_bytes / n_objects;
   std::printf("%u objects x %.2f MB, 10 K mix, %u ops total\n\n", n_objects,
               static_cast<double>(per_object) / 1048576.0, args.ops);

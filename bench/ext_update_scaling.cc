@@ -36,8 +36,7 @@ int main(int argc, char** argv) {
   const BenchArgs args = BenchArgs::Parse(argc, argv);
   PrintBanner("ext_update_scaling: insert cost vs object size",
               "4.4.3 (ESM/EOS flat, Starburst linear in object size)");
-  const uint32_t ops =
-      FlagValue<uint32_t>(argc, argv, "update-ops", args.quick ? 5 : 20, 1);
+  const uint32_t ops = args.quick ? 5 : 20;
   std::printf("mean insert: 10 K bytes, %u inserts per point\n\n", ops);
 
   std::vector<EngineSpec> specs = {EsmSpecs()[1],

@@ -50,7 +50,7 @@ inline int RunMixFigure(int argc, char** argv, const char* title,
                         const char* reproduces,
                         const std::vector<EngineSpec>& specs,
                         MixMetric metric, const char* anchors) {
-  const BenchArgs args = BenchArgs::Parse(argc, argv);
+  const BenchArgs args = BenchArgs::Parse(argc, argv, "--csv");
   const bool csv = FlagPresent(argc, argv, "csv");
   if (!csv) {
     PrintBanner(title, reproduces);
@@ -88,8 +88,7 @@ inline int RunMixFigure(int argc, char** argv, const char* title,
                                         : std::make_unique<TraceSession>());
     timelines.push_back(args.timeline.empty()
                             ? nullptr
-                            : std::make_unique<TimelineSampler>(
-                                  args.timeline_every));
+                            : std::make_unique<TimelineSampler>(args.window));
   }
 
   BenchEngine engine(BenchNameFromTitle(title), args);

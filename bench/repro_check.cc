@@ -16,7 +16,6 @@
 
 #include "bench/bench_common.h"
 #include "starburst/starburst_manager.h"
-#include "workload/maintenance.h"
 
 using namespace lob;
 using namespace lob::bench;

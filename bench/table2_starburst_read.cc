@@ -15,8 +15,7 @@ int main(int argc, char** argv) {
   const BenchArgs args = BenchArgs::Parse(argc, argv);
   PrintBanner("table2_starburst_read: Starburst read I/O cost",
               "Table 2 (Starburst read I/O cost)");
-  const uint32_t reads =
-      FlagValue<uint32_t>(argc, argv, "reads", args.quick ? 200 : 2000, 1);
+  const uint32_t reads = args.quick ? 200 : 2000;
   std::printf("object: %.1f MB, reads per size: %u\n\n",
               static_cast<double>(args.object_bytes) / 1048576.0, reads);
 

@@ -19,8 +19,7 @@ int main(int argc, char** argv) {
   const BenchArgs args = BenchArgs::Parse(argc, argv);
   PrintBanner("table3_starburst_update: Starburst insert/delete I/O cost",
               "Table 3 (Starburst insert and delete I/O cost)");
-  const uint32_t ops =
-      FlagValue<uint32_t>(argc, argv, "update-ops", args.quick ? 10 : 60, 1);
+  const uint32_t ops = args.quick ? 10 : 60;
   std::printf("object: %.1f MB, insert+delete pairs per size: %u\n\n",
               static_cast<double>(args.object_bytes) / 1048576.0, ops);
 

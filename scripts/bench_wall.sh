@@ -55,7 +55,6 @@ BENCHES=(
   ext_delete_cost
   ext_build_scaling
   ext_update_scaling
-  ext_seek_sensitivity
   ext_pool_ablation
   ext_shadowing_ablation
   ext_esm_insert_ablation

@@ -2,7 +2,9 @@
 //
 // Defaults correspond to Table 1 of the paper (Biliris, SIGMOD '92):
 // 4K-byte pages, a 12-page buffer pool, at most 4 physically adjacent pages
-// read into the pool with one I/O call, 33 ms seek cost, 1 K-byte/ms transfer.
+// read into the pool with one I/O call. The paper fixes its disk (33 ms
+// seek, 1 K-byte/ms transfer) and Starburst's copy buffer, so those are
+// constants rather than fields.
 
 #ifndef LOB_COMMON_CONFIG_H_
 #define LOB_COMMON_CONFIG_H_
@@ -10,6 +12,18 @@
 #include <cstdint>
 
 namespace lob {
+
+/// Cost of one disk seek, including rotational delay, in milliseconds
+/// (Table 1). Charged once per I/O call regardless of the call's size.
+inline constexpr double kSeekMs = 33.0;
+
+/// Disk transfer rate in K-bytes per millisecond (Table 1).
+inline constexpr double kTransferKbPerMs = 1.0;
+
+/// Size of the staging buffer Starburst copies long-field segments through
+/// during inserts and deletes (paper 3.5: a 512 K-byte virtual memory
+/// space).
+inline constexpr uint32_t kCopyBufferBytes = 512 * 1024;
 
 /// Configuration of the simulated storage substrate.
 struct StorageConfig {
@@ -23,13 +37,6 @@ struct StorageConfig {
   /// larger segments bypass the pool (paper 3.2).
   uint32_t max_pool_segment_pages = 4;
 
-  /// Cost of one disk seek, including rotational delay, in milliseconds.
-  /// Charged once per I/O call regardless of the call's size.
-  double seek_ms = 33.0;
-
-  /// Transfer rate in K-bytes per millisecond.
-  double transfer_kb_per_ms = 1.0;
-
   /// log2 of the number of data blocks per buddy space. The default 2^14
   /// blocks = 64 M-bytes per space with 4K pages, each preceded by a 1-block
   /// directory; segments of up to half a space (32 M-bytes) can be allocated,
@@ -42,10 +49,6 @@ struct StorageConfig {
   /// place. When false, all updates happen in place (ablation switch).
   bool shadowing = true;
 
-  /// Size of the staging buffer Starburst uses to copy long-field segments
-  /// during inserts/deletes (paper 3.5: a 512 K-byte virtual memory space).
-  uint32_t copy_buffer_bytes = 512 * 1024;
-
   /// Zero-copy page access: buffer pool frames borrow clean page bytes
   /// directly from the simulated disk image and copy-on-write into their
   /// private frame only when modified. Purely a wall-clock optimization —
@@ -56,7 +59,7 @@ struct StorageConfig {
 
   /// Transfer cost of one page in milliseconds.
   double PageTransferMs() const {
-    return static_cast<double>(page_size) / 1024.0 / transfer_kb_per_ms;
+    return static_cast<double>(page_size) / 1024.0 / kTransferKbPerMs;
   }
 
   /// Bytes per buddy space (excluding its directory block).

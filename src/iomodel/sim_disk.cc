@@ -43,7 +43,7 @@ void SimDisk::AccountCall(bool is_read, uint32_t n_pages) {
     call.write_calls = 1;
     call.pages_written = n_pages;
   }
-  call.ms = config_.seek_ms + n_pages * config_.PageTransferMs();
+  call.ms = kSeekMs + n_pages * config_.PageTransferMs();
   stats_ += call;
   if (attribution_suspended_ == 0 && obs_ != nullptr) {
     if (attr_rec_ == nullptr || attr_gen_ != obs_->attribution_generation()) {

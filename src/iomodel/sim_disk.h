@@ -6,7 +6,7 @@
 // seeks) and the number of pages involved in each access" (4.1). SimDisk is
 // the same idea taken one step further: every area stores real bytes in
 // memory so correctness is testable, and every ReadRun/WriteRun call is
-// charged `seek_ms + n_pages * PageTransferMs()`.
+// charged `kSeekMs + n_pages * PageTransferMs()` (common/config.h).
 //
 // An I/O call always covers physically adjacent pages of one area; callers
 // that need scattered pages issue multiple calls (and pay multiple seeks),

@@ -130,8 +130,7 @@ Status StarburstManager::ReadRange(const std::vector<SegInfo>& map,
     // One I/O call per copy-buffer-sized chunk within the segment.
     uint64_t part = 0;
     while (part < take) {
-      const uint64_t chunk =
-          std::min<uint64_t>(take - part, sys_->config().copy_buffer_bytes);
+      const uint64_t chunk = std::min<uint64_t>(take - part, kCopyBufferBytes);
       LOB_RETURN_IF_ERROR(sys_->pool()->ReadSegmentRange(
           leaf_area_id(), seg.page, seg.bytes, local + part, chunk,
           dst + done + part));
@@ -316,8 +315,7 @@ Status StarburstManager::RebuildTail(Descriptor* d, size_t k,
     // page-aligned, so each lands in fresh pages with one sequential call.
     uint64_t part = 0;
     while (part < take) {
-      const uint64_t chunk =
-          std::min<uint64_t>(take - part, sys_->config().copy_buffer_bytes);
+      const uint64_t chunk = std::min<uint64_t>(take - part, kCopyBufferBytes);
       LOB_RETURN_IF_ERROR(sys_->pool()->WriteFreshSegment(
           leaf_area_id(), seg->first_page() + static_cast<PageId>(part / P),
           tail.data() + pos + part, chunk));
@@ -453,8 +451,8 @@ Status StarburstManager::Replace(ObjectId id, uint64_t offset,
       const uint64_t P2 = page_size();
       uint64_t part = 0;
       while (part < content->size()) {
-        const uint64_t chunk = std::min<uint64_t>(
-            content->size() - part, sys_->config().copy_buffer_bytes);
+        const uint64_t chunk =
+            std::min<uint64_t>(content->size() - part, kCopyBufferBytes);
         LOB_RETURN_IF_ERROR(sys_->pool()->WriteFreshSegment(
             leaf_area_id(), ns->first_page() + static_cast<PageId>(part / P2),
             content->data() + part, chunk));

@@ -36,29 +36,4 @@ StatusOr<IoStats> CompactObject(StorageSystem* sys, LargeObjectManager* mgr,
   return IoStats::Delta(before, sys->stats());
 }
 
-StatusOr<std::map<uint32_t, uint32_t>> SegmentHistogram(
-    LargeObjectManager* mgr, ObjectId id) {
-  std::map<uint32_t, uint32_t> hist;
-  LOB_RETURN_IF_ERROR(
-      mgr->VisitSegments(id, [&](uint64_t bytes, uint32_t pages) {
-        (void)bytes;
-        hist[pages]++;
-        return Status::OK();
-      }));
-  return hist;
-}
-
-StatusOr<double> MeanSegmentPages(LargeObjectManager* mgr, ObjectId id) {
-  uint64_t pages = 0, segments = 0;
-  LOB_RETURN_IF_ERROR(
-      mgr->VisitSegments(id, [&](uint64_t bytes, uint32_t seg_pages) {
-        (void)bytes;
-        pages += seg_pages;
-        segments++;
-        return Status::OK();
-      }));
-  if (segments == 0) return 0.0;
-  return static_cast<double>(pages) / static_cast<double>(segments);
-}
-
 }  // namespace lob

@@ -13,8 +13,8 @@
 #define LOB_WORKLOAD_MAINTENANCE_H_
 
 #include <cstdint>
-#include <map>
 
+#include "common/config.h"
 #include "core/large_object.h"
 #include "core/storage_system.h"
 
@@ -27,15 +27,7 @@ namespace lob {
 [[nodiscard]]
 StatusOr<IoStats> CompactObject(StorageSystem* sys, LargeObjectManager* mgr,
                                 ObjectId id,
-                                uint64_t chunk_bytes = 512 * 1024);
-
-/// Histogram of segment sizes in pages: size -> segment count.
-[[nodiscard]] StatusOr<std::map<uint32_t, uint32_t>> SegmentHistogram(
-    LargeObjectManager* mgr, ObjectId id);
-
-/// Mean segment size in pages (0 for an empty object).
-[[nodiscard]]
-StatusOr<double> MeanSegmentPages(LargeObjectManager* mgr, ObjectId id);
+                                uint64_t chunk_bytes = kCopyBufferBytes);
 
 }  // namespace lob
 

@@ -3,8 +3,8 @@
 # produce byte-identical stdout for any worker count. Enforced here for
 # two converted benches — a mix-figure bench in machine-readable CSV mode
 # and the fig5 build-time table — by diffing --jobs=1 against --jobs=4.
-# Also checks flag validation, on these two and on the benches whose own
-# count and size flags must reject 0 and byte-count overflow.
+# Also checks flag validation: malformed, zero and overflowing values, and
+# unknown flags, including the ones each bench below used to take.
 # Usage: bench_determinism_test.sh <fig9> <fig5> <fig6_seq_scan>
 #          <ext_multi_object> <ext_build_scaling> <table2_starburst_read>
 #          <table3_starburst_update> <ext_update_scaling>
@@ -95,11 +95,13 @@ for key in ("p50_ms", "p90_ms", "p99_ms", "max_ms", "mean_ms"):
 EOF
 
 # 6. Flag validation: an out-of-range --window, a malformed number (a
-# sign, a suffix, no digits), a zero count or size, a size whose byte
-# count wraps uint64_t (2^44 MB, 2^54 KB) and more objects than the
-# --object-mb budget has 4 KB pages must be rejected with exit status 2
-# and "bad --<flag> '<value>'" on stderr. The timeout turns a value that
-# is silently accepted and runs on into a failure instead of a hang.
+# sign, a suffix, no digits), a zero count or size and a size whose byte
+# count wraps uint64_t (2^44 MB) must be rejected with exit status 2 and
+# "bad --<flag> '<value>'" on stderr. A flag no bench knows (a typo) and
+# each flag a bench used to take must be rejected with exit status 2 and
+# "unknown flag --<flag>", before anything runs or is written. The
+# timeout turns a value that is silently accepted and runs on into a
+# failure instead of a hang.
 if "$FIG9" --quick --ops=100 --window=0 > /dev/null 2>&1; then
   fail "--window=0 was accepted"
 fi
@@ -118,18 +120,28 @@ expect_bad_flag() {
 for bad in --ops=-5 --ops=0 --jobs=2x --object-mb=abc; do
   expect_bad_flag "$FIG9" "$bad"
 done
-expect_bad_flag "$MULTI" --objects=0
-expect_bad_flag "$MULTI" --objects=513
-expect_bad_flag "$MULTI" --objects=4294967295
-timeout 60 "$MULTI" --quick --objects=512 > /dev/null \
-  || fail "ext_multi_object --objects=512 (one page per object) rejected"
 expect_bad_flag "$FIG6" --object-mb=0
 expect_bad_flag "$FIG6" --object-mb=17592186044416
-expect_bad_flag "$BUILD" --append-kb=0
-expect_bad_flag "$BUILD" --append-kb=18014398509481984
-expect_bad_flag "$TABLE2" --reads=0
-expect_bad_flag "$TABLE3" --update-ops=0
-expect_bad_flag "$UPDATE" --update-ops=0
+expect_unknown_flag() {
+  local bin="$1" arg="$2" status=0
+  timeout 60 "$bin" --quick "$arg" > "$tmpdir/unknown_flag.out" \
+    2> "$tmpdir/unknown_flag.err" || status=$?
+  [ "$status" -eq 2 ] || fail "$(basename "$bin") $arg exited $status, not 2"
+  grep -qx "unknown flag ${arg%%=*}" "$tmpdir/unknown_flag.err" \
+    || fail "$(basename "$bin") $arg: no \"unknown flag ${arg%%=*}\" on stderr"
+  [ ! -s "$tmpdir/unknown_flag.out" ] \
+    || fail "$(basename "$bin") $arg printed to stdout before rejecting"
+}
+expect_unknown_flag "$FIG9" --timline="$tmpdir/typo.csv"
+[ ! -e "$tmpdir/typo.csv" ] || fail "fig9 --timline wrote its file"
+expect_unknown_flag "$FIG9" --timeline-every=200
+expect_unknown_flag "$FIG9" --bogus
+expect_unknown_flag "$FIG5" --csv
+expect_unknown_flag "$MULTI" --objects=8
+expect_unknown_flag "$BUILD" --append-kb=32
+expect_unknown_flag "$TABLE2" --reads=200
+expect_unknown_flag "$TABLE3" --update-ops=10
+expect_unknown_flag "$UPDATE" --update-ops=5
 "$FIG9" --quick --ops=100 --window=50 --csv --jobs=2 > /dev/null \
   || fail "valid --window=50 rejected"
 

@@ -140,12 +140,14 @@ TEST(ConfigTest, PaperDefaultsMatchTable1) {
   EXPECT_EQ(cfg.page_size, 4096u);
   EXPECT_EQ(cfg.buffer_pool_pages, 12u);
   EXPECT_EQ(cfg.max_pool_segment_pages, 4u);
-  EXPECT_DOUBLE_EQ(cfg.seek_ms, 33.0);
-  EXPECT_DOUBLE_EQ(cfg.transfer_kb_per_ms, 1.0);
+  EXPECT_DOUBLE_EQ(kSeekMs, 33.0);
+  EXPECT_DOUBLE_EQ(kTransferKbPerMs, 1.0);
   // 4K page at 1K/ms -> 4 ms per page; a 3-block read costs 33+12=45 ms,
   // the paper's worked example.
   EXPECT_DOUBLE_EQ(cfg.PageTransferMs(), 4.0);
-  EXPECT_DOUBLE_EQ(cfg.seek_ms + 3 * cfg.PageTransferMs(), 45.0);
+  EXPECT_DOUBLE_EQ(kSeekMs + 3 * cfg.PageTransferMs(), 45.0);
+  // Starburst's copy buffer (3.5).
+  EXPECT_EQ(kCopyBufferBytes, 512u * 1024u);
 }
 
 }  // namespace

@@ -123,22 +123,6 @@ TEST_P(MaintenanceTest, CompactRestoresUtilization) {
   EXPECT_GT(*util, 0.95) << "compacted object should be near-perfectly packed";
 }
 
-TEST_P(MaintenanceTest, HistogramAndMeanAgree) {
-  ASSERT_TRUE(mgr_->Append(id_, Pattern(6, 200000)).ok());
-  auto hist = SegmentHistogram(mgr_.get(), id_);
-  auto mean = MeanSegmentPages(mgr_.get(), id_);
-  ASSERT_TRUE(hist.ok());
-  ASSERT_TRUE(mean.ok());
-  uint64_t pages = 0, segments = 0;
-  for (const auto& [p, c] : *hist) {
-    pages += static_cast<uint64_t>(p) * c;
-    segments += c;
-  }
-  ASSERT_GT(segments, 0u);
-  EXPECT_DOUBLE_EQ(*mean, static_cast<double>(pages) /
-                              static_cast<double>(segments));
-}
-
 TEST_P(MaintenanceTest, CompactEmptyObjectIsNoop) {
   auto cost = CompactObject(&sys_, mgr_.get(), id_);
   ASSERT_TRUE(cost.ok());

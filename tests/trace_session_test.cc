@@ -234,7 +234,7 @@ TEST(TraceHooksTest, OpScopeSpansAreViewsOfTheDiskCounters) {
   EXPECT_EQ(ev[1].kind, SpanKind::kOp);
   EXPECT_EQ(ev[1].parent, 0);
   // Each span holds exactly the calls the disk metered inside it.
-  const double call_ms = cfg.seek_ms + cfg.PageTransferMs();
+  const double call_ms = kSeekMs + cfg.PageTransferMs();
   EXPECT_EQ(ev[0].io.write_calls, 1u);
   EXPECT_EQ(ev[0].io.read_calls, 1u);
   EXPECT_EQ(ev[0].io.PagesTransferred(), 2u);
